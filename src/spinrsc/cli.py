@@ -8,6 +8,7 @@ identical invocations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -54,6 +55,17 @@ def _pair(z: complex) -> list[float]:
 
 def _matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
     return [[_pair(complex(m[r, c])) for c in range(m.shape[1])] for r in range(m.shape[0])]
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _coupling(label: str) -> Coupling:
@@ -192,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("amplitudes", help="print the 2x2 transition matrix P(t) as JSON")
     _add_chain_flags(s)
-    s.add_argument("--t", type=float, required=True, help="evolution time")
+    s.add_argument("--t", type=_finite_float, required=True, help="evolution time")
     s.set_defaults(func=_cmd_amplitudes)
 
     s = subs.add_parser("optimize", help="print the optimal protocol as JSON")
@@ -207,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_sweep)
 
     s = subs.add_parser("critical-length", help="largest length reaching a threshold")
-    s.add_argument("--threshold", type=float, required=True)
+    s.add_argument("--threshold", type=_finite_float, required=True)
     s.add_argument("--n-min", type=int, default=4)
     s.add_argument("--n-max", type=int, required=True)
     s.add_argument("--models", default="nn,all,all+v", help="comma list of nn, all, all+v")
@@ -215,21 +227,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("region", help="write the creatable-region grid to CSV")
     _add_chain_flags(s, with_v_flag=True)
-    s.add_argument("--step", type=float, required=True, help="grid step in (0, 0.5]")
+    s.add_argument("--step", type=_finite_float, required=True, help="grid step in (0, 0.5]")
     s.add_argument("--out", required=True, help="output CSV path")
     s.set_defaults(func=_cmd_region)
 
     s = subs.add_parser("create", help="run the creation pipeline for one control point")
     _add_chain_flags(s, with_v_flag=True)
-    s.add_argument("--alpha1", type=float, required=True)
-    s.add_argument("--alpha2", type=float, required=True)
-    s.add_argument("--phi1", type=float, required=True)
-    s.add_argument("--phi2", type=float, required=True)
+    s.add_argument("--alpha1", type=_finite_float, required=True)
+    s.add_argument("--alpha2", type=_finite_float, required=True)
+    s.add_argument("--phi1", type=_finite_float, required=True)
+    s.add_argument("--phi2", type=_finite_float, required=True)
     s.set_defaults(func=_cmd_create)
 
     s = subs.add_parser("verify", help="compare fast amplitudes against the full-space oracle")
     _add_chain_flags(s)
-    s.add_argument("--t", type=float, required=True, help="evolution time")
+    s.add_argument("--t", type=_finite_float, required=True, help="evolution time")
     s.set_defaults(func=_cmd_verify)
 
     return parser

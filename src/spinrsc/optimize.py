@@ -6,15 +6,15 @@ dominant right singular vector.  Everything in this module is built on that
 fact: the 2x2 singular value decomposition supplies the optimal sender state
 ``a_opt``, the receiver-side unitary ``v0`` and the transfer probability,
 and a scalar search over time locates the first maximum of whichever
-objective applies (with or without the receiver-side unitary).
+objective applies (with or without the receiver-side unitary).  An objective
+is a function of a ``(2, 2, T)`` stack of P matrices, so one stack on a
+uniform grid serves every objective of a chain in a single coarse scan.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -22,15 +22,20 @@ import numpy as np
 
 from .chain import Coupling, CouplingModel, SpectralDecomposition, chain_decomposition
 from .errors import DegenerateProtocolError, MaximumNotFoundError, SpinRscError
-from .propagate import SenderState, amplitude_matrix, amplitude_series
+from .propagate import SenderState, amplitude_grid, amplitude_matrix, amplitude_series
 
 COARSE_STEP = 0.05
 REFINE_TOL = 1e-8
-# Smallest objective value accepted as a transfer peak.  Genuine arrival
-# maxima stay above 0.19 for n <= 200 while everything earlier is either
-# eigensolver noise (~1e-17 amplitudes) or long-range leakage precursors
-# (<= ~1.4e-5), so three decades of margin separate the floor from both.
+# Smallest objective value accepted as a transfer peak.  Over the paper's
+# sweep n = 4..130 every earlier coarse-grid local maximum is eigensolver
+# noise or a long-range leakage precursor, the largest 1.31e-5 (n = 10,
+# all+v): 1.88 decades below the floor.  The smallest accepted peak is 0.247
+# (n = 130, nn): 2.39 decades above it.  test_significance_floor_margins
+# keeps both margins checked.
 SIGNIFICANCE_FLOOR = 1e-3
+# Coarse-scan points per chunk, per chain node: the first chunk reaches
+# t = 1.6 n, past every first peak of the paper's sweep (t0 <= 1.571 n).
+SCAN_POINTS_PER_NODE = 32
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 __all__ = [
@@ -48,17 +53,21 @@ __all__ = [
     "objective_series",
     "maximize_over_time",
     "optimal_protocol",
-    "thread_count",
     "sweep",
     "critical_length",
 ]
 
 
 class Objective(enum.Enum):
-    """What to maximise over time."""
+    """What to maximise over time; a member maps a ``(2, 2, T)`` P stack to T values."""
 
     LAM_PLUS_SQ = "lam_plus_sq"  # largest squared singular value of P
     ROW_NORM_SQ = "row_norm_sq"  # squared norm of P's bottom row (best |f_N|^2)
+
+    def __call__(self, ps: np.ndarray) -> np.ndarray:
+        if self is Objective.LAM_PLUS_SQ:
+            return _lam_plus_sq_series(ps)
+        return _row_norm_sq_series(ps)
 
 
 class SingularPair(NamedTuple):
@@ -165,53 +174,57 @@ def _row_norm_sq_series(ps: np.ndarray) -> np.ndarray:
     return np.abs(ps[1, 0]) ** 2 + np.abs(ps[1, 1]) ** 2
 
 
-def objective_series(
-    dec: SpectralDecomposition,
-    objective: Objective | Callable[[np.ndarray], np.ndarray],
-    ts,
-) -> np.ndarray:
+ObjectiveFn = Callable[[np.ndarray], np.ndarray]
+
+
+def objective_series(dec: SpectralDecomposition, objective: ObjectiveFn, ts) -> np.ndarray:
     """Evaluate the transfer objective at each time in ``ts``.
 
-    ``objective`` may be a callable mapping a time array to values, which the
-    time search also accepts (used for synthetic objectives in tests).
+    ``objective`` is an :class:`Objective` member or any other callable that
+    maps a ``(2, 2, T)`` stack of P matrices to T values.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if callable(objective):
-        return np.asarray(objective(ts), dtype=float)
-    ps = amplitude_series(dec, ts)
-    if objective is Objective.LAM_PLUS_SQ:
-        return _lam_plus_sq_series(ps)
-    if objective is Objective.ROW_NORM_SQ:
-        return _row_norm_sq_series(ps)
-    raise ValueError(f"unknown objective {objective!r}")
+    return np.asarray(objective(amplitude_series(dec, ts)), dtype=float)
 
 
-def _first_bracket(fn, t_lo: float, t_hi: float, step: float, floor: float, chunk: int = 4096):
-    """Coarse-scan for the first significant local maximum; return its bracket.
+def _first_brackets(
+    dec: SpectralDecomposition,
+    objectives: Sequence[ObjectiveFn],
+    t_lo: float,
+    t_hi: float,
+    step: float,
+    floor: float,
+) -> list[tuple[float, float] | None]:
+    """Coarse-scan for each objective's first significant local maximum.
 
-    A grid point is a hit when it does not fall below its left neighbour,
-    strictly exceeds its right neighbour and rises above ``floor``; the
-    surrounding pair of grid points brackets the maximum.
+    The grid ``t_lo + step * k`` is evaluated in chunks of
+    ``SCAN_POINTS_PER_NODE * n`` points, and every objective still without a
+    maximum reads the same P stack of a chunk.  A grid point is a hit when it
+    does not fall below its left neighbour, strictly exceeds its right
+    neighbour and rises above ``floor``; the surrounding pair of grid points
+    brackets the maximum.  The last two values of a chunk carry over, so no
+    hit depends on where the chunks split.  Objectives without a hit in the
+    window get None.
     """
     total = int(math.floor((t_hi - t_lo) / step + 1e-9)) + 1
-    tail_t = tail_g = None
+    chunk = SCAN_POINTS_PER_NODE * dec.n
+    brackets: list[tuple[float, float] | None] = [None] * len(objectives)
+    tails = [np.empty(0)] * len(objectives)
     start = 0
-    while start < total:
+    while start < total and any(b is None for b in brackets):
         stop = min(start + chunk, total)
-        ts = t_lo + step * np.arange(start, stop)
-        gs = fn(ts)
-        if tail_t is not None:
-            ts = np.concatenate([tail_t, ts])
-            gs = np.concatenate([tail_g, gs])
-        if gs.shape[0] >= 3:
+        ps = amplitude_grid(dec, t_lo, step, start, stop)
+        for i, objective in enumerate(objectives):
+            if brackets[i] is not None:
+                continue
+            gs = np.concatenate([tails[i], objective(ps)])
             left, mid, right = gs[:-2], gs[1:-1], gs[2:]
             hits = np.nonzero((mid >= left) & (mid > right) & (mid > floor))[0]
             if hits.size:
-                i = int(hits[0]) + 1
-                return float(ts[i - 1]), float(ts[i + 1])
-        tail_t, tail_g = ts[-2:], gs[-2:]
+                k = start - tails[i].shape[0] + int(hits[0]) + 1
+                brackets[i] = (t_lo + step * (k - 1), t_lo + step * (k + 1))
+            tails[i] = gs[-2:]
         start = stop
-    return None
+    return brackets
 
 
 def _golden_max(fn, a: float, b: float, tol: float) -> float:
@@ -237,9 +250,47 @@ def _golden_max(fn, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
+def _refine(
+    dec: SpectralDecomposition, objective: ObjectiveFn, a: float, b: float
+) -> tuple[float, float]:
+    """Golden-section maximum on [a, b] as ``(t0, objective(t0))``, one time per evaluation."""
+
+    def fn(ts: np.ndarray) -> np.ndarray:
+        return objective_series(dec, objective, ts)
+
+    t0 = _golden_max(fn, a, b, REFINE_TOL)
+    return t0, float(fn(np.array([t0]))[0])
+
+
+def _first_maxima(
+    dec: SpectralDecomposition,
+    objectives: Sequence[ObjectiveFn],
+    window: tuple[float, float] | None = None,
+    step: float = COARSE_STEP,
+    floor: float = SIGNIFICANCE_FLOOR,
+) -> list[tuple[float, float]]:
+    """``(t0, objective(t0))`` per objective, all bracketed by one coarse scan.
+
+    Each bracket is refined by golden section until it is narrower than
+    ``REFINE_TOL``.
+    """
+    if window is None:
+        window = (0.0, 4.0 * dec.n)
+    t_lo, t_hi = float(window[0]), float(window[1])
+    if not 0.0 <= t_lo < t_hi:
+        raise ValueError(f"time window must satisfy 0 <= t_min < t_max, got {window!r}")
+    brackets = _first_brackets(dec, objectives, t_lo, t_hi, step, floor)
+    if None in brackets:
+        raise MaximumNotFoundError(
+            f"no significant local maximum of the objective in [{t_lo:g}, {t_hi:g}]; "
+            "enlarge the window"
+        )
+    return [_refine(dec, objective, *bracket) for objective, bracket in zip(objectives, brackets)]
+
+
 def maximize_over_time(
     dec: SpectralDecomposition,
-    objective: Objective | Callable[[np.ndarray], np.ndarray],
+    objective: ObjectiveFn,
     window: tuple[float, float] | None = None,
     step: float = COARSE_STEP,
     floor: float = SIGNIFICANCE_FLOOR,
@@ -251,23 +302,7 @@ def maximize_over_time(
     refines it by golden section until the bracket is narrower than
     ``REFINE_TOL``.  Returns ``(t0, objective(t0))``.
     """
-    if window is None:
-        window = (0.0, 4.0 * dec.n)
-    t_lo, t_hi = float(window[0]), float(window[1])
-    if not 0.0 <= t_lo < t_hi:
-        raise ValueError(f"time window must satisfy 0 <= t_min < t_max, got {window!r}")
-
-    def fn(ts: np.ndarray) -> np.ndarray:
-        return objective_series(dec, objective, ts)
-
-    bracket = _first_bracket(fn, t_lo, t_hi, step, floor)
-    if bracket is None:
-        raise MaximumNotFoundError(
-            f"no significant local maximum of the objective in [{t_lo:g}, {t_hi:g}]; "
-            "enlarge the window"
-        )
-    t0 = _golden_max(fn, bracket[0], bracket[1], REFINE_TOL)
-    return t0, float(fn(np.array([t0]))[0])
+    return _first_maxima(dec, [objective], window, step, floor)[0]
 
 
 @dataclass(frozen=True)
@@ -342,46 +377,38 @@ class SweepRow:
     r_max_sq: float
 
 
-def _sweep_row(n: int, model: SweepModel) -> SweepRow:
-    try:
-        dec = chain_decomposition(CouplingModel(model.coupling, n))
-        t0, value = maximize_over_time(dec, model.objective)
-    except SpinRscError as exc:
-        raise type(exc)(f"n={n} model={model.value}: {exc}") from exc
-    return SweepRow(n=n, model=model, t0=t0, r_max_sq=value)
+def sweep(ns: Iterable[int], models: Iterable[SweepModel]) -> list[SweepRow]:
+    """One optimised row per (chain length, model), n-major and model-minor.
 
-
-def thread_count(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, then SPINRSC_THREADS, then CPU count."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("SPINRSC_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def sweep(
-    ns: Iterable[int],
-    models: Iterable[SweepModel],
-    threads: int | None = None,
-) -> list[SweepRow]:
-    """One optimised row per (chain length, model), in deterministic order.
-
-    Rows are independent, so they may be evaluated by a small thread pool;
-    the result order is always n-major, model-minor regardless of workers.
+    Models of the same coupling share one decomposition and one coarse scan
+    per chain length: ``all`` and ``all+v`` read the same P stack.
     """
     ns = list(ns)
     models = list(models)
+    if not ns:
+        raise ValueError("no chain lengths to sweep: the range is empty")
+    if not models:
+        raise ValueError("no models to sweep")
     for n in ns:
         if not 4 <= n <= 200:
             raise ValueError(f"swept chain lengths must lie in [4, 200], got {n}")
-    tasks = [(n, model) for n in ns for model in models]
-    workers = thread_count(threads)
-    if workers == 1:
-        return [_sweep_row(n, model) for n, model in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda task: _sweep_row(*task), tasks))
+    groups: dict[Coupling, list[SweepModel]] = {}
+    for model in dict.fromkeys(models):
+        groups.setdefault(model.coupling, []).append(model)
+    rows = []
+    for n in ns:
+        found: dict[SweepModel, SweepRow] = {}
+        for coupling, group in groups.items():
+            try:
+                dec = chain_decomposition(CouplingModel(coupling, n))
+                maxima = _first_maxima(dec, [model.objective for model in group])
+            except SpinRscError as exc:
+                labels = ",".join(model.value for model in group)
+                raise type(exc)(f"n={n} model={labels}: {exc}") from exc
+            for model, (t0, value) in zip(group, maxima):
+                found[model] = SweepRow(n=n, model=model, t0=t0, r_max_sq=value)
+        rows += [found[model] for model in models]
+    return rows
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,14 @@
 
 The amplitude ``p_kj(t) = <k| exp(-i H t) |j>`` is evaluated as a spectral
 sum over the chain eigenpairs, so thousands of time samples reuse a single
-dense eigensolve.  The 2x2 block from the sender nodes (1, 2) to the
-extended-receiver nodes (N-1, N) is the matrix ``P``; for a sender state
-with excitation amplitudes ``(a1, a2)`` the amplitudes arriving at the
-extended receiver are ``f = P (a1, a2)^T`` while the vacuum amplitude ``f0``
-stays equal to ``a0``.
+dense eigensolve.  On a uniform time grid the phase factors split into a
+per-block factor times one shared table (:func:`amplitude_grid`), so the
+grid needs far fewer complex exponentials than it has points.  The 2x2
+block from the sender nodes (1, 2) to the extended-receiver nodes (N-1, N)
+is the matrix ``P``; for a sender state with excitation amplitudes
+``(a1, a2)`` the amplitudes arriving at the extended receiver are
+``f = P (a1, a2)^T`` while the vacuum amplitude ``f0`` stays equal to
+``a0``.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ import numpy as np
 from .chain import SpectralDecomposition
 
 NORM_TOL = 1e-12
+GRID_BLOCK = 64  # grid points sharing one block phase in amplitude_grid
 
 __all__ = [
     "polar_turns",
     "transition_amplitude",
     "amplitude_series",
+    "amplitude_grid",
     "amplitude_matrix",
     "SenderState",
     "FVector",
@@ -54,14 +59,14 @@ def transition_amplitude(dec: SpectralDecomposition, k: int, j: int, t: float) -
     return complex(np.sum(w * np.exp(-1j * dec.energies * t)))
 
 
-def amplitude_series(dec: SpectralDecomposition, ts) -> np.ndarray:
-    """The matrix ``P(t)`` for every ``t`` in ``ts``, shape ``(2, 2, len(ts))``.
+def _weights(dec: SpectralDecomposition) -> np.ndarray:
+    """Spectral weights ``v[k, m] v[j, m]`` of the four P entries, shape ``(4, n)``.
 
-    Rows are the destinations (N-1, N), columns the sources (1, 2).
+    Rows are ``P[0, 0], P[0, 1], P[1, 0], P[1, 1]``: destinations (N-1, N),
+    sources (1, 2).
     """
     if dec.n < 4:
         raise ValueError("sender and extended receiver overlap for n < 4")
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     v = dec.vectors
     n = dec.n
     w = np.empty((4, n))
@@ -69,8 +74,42 @@ def amplitude_series(dec: SpectralDecomposition, ts) -> np.ndarray:
     w[1] = v[n - 2] * v[1]
     w[2] = v[n - 1] * v[0]
     w[3] = v[n - 1] * v[1]
+    return w
+
+
+def amplitude_series(dec: SpectralDecomposition, ts) -> np.ndarray:
+    """The matrix ``P(t)`` for every ``t`` in ``ts``, shape ``(2, 2, len(ts))``.
+
+    Rows are the destinations (N-1, N), columns the sources (1, 2).
+    """
+    w = _weights(dec)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     phases = np.exp(-1j * np.outer(dec.energies, ts))
     return (w @ phases).reshape(2, 2, ts.shape[0])
+
+
+def amplitude_grid(
+    dec: SpectralDecomposition, t_lo: float, step: float, start: int, stop: int
+) -> np.ndarray:
+    """``P(t)`` at ``t = t_lo + step * k`` for ``start <= k < stop``.
+
+    Same layout as :func:`amplitude_series`, shape ``(2, 2, stop - start)``.
+    Grid points come in blocks of ``GRID_BLOCK``, and the phase of point
+    ``j`` in block ``b`` factors as
+    ``exp(-i E (t_lo + step (start + GRID_BLOCK b))) * exp(-i E step j)``.
+    Each block is then one ``(4, n) @ (n, GRID_BLOCK)`` product of the
+    weights times the block phase against a single base table, so ``B``
+    blocks cost ``n (B + GRID_BLOCK)`` exponentials instead of one per
+    eigenvalue and grid point, and no ``n x T`` phase table is built.
+    """
+    w = _weights(dec)
+    count = stop - start
+    blocks = -(-count // GRID_BLOCK)
+    heads = t_lo + step * (start + GRID_BLOCK * np.arange(blocks))
+    block_phases = np.exp(-1j * np.outer(heads, dec.energies))  # (B, n)
+    base = np.exp(-1j * step * np.outer(dec.energies, np.arange(GRID_BLOCK)))  # (n, 64)
+    stack = (w * block_phases[:, None, :]) @ base  # (B, 4, GRID_BLOCK)
+    return stack.transpose(1, 0, 2).reshape(2, 2, blocks * GRID_BLOCK)[:, :, :count]
 
 
 def amplitude_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:

@@ -47,7 +47,7 @@ def _report(number: int, description: str, ok: bool) -> None:
 @pytest.fixture(scope="module")
 def full_sweep():
     start = time.perf_counter()
-    rows = sweep(range(4, 131), list(SweepModel), threads=1)
+    rows = sweep(range(4, 131), list(SweepModel))
     elapsed = time.perf_counter() - start
     return rows, elapsed
 

@@ -128,6 +128,45 @@ def test_bad_model_list_is_domain_error(capsys):
     assert "nn, all, all+v" in capsys.readouterr().err
 
 
+def test_sweep_empty_range_is_domain_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n-min", "9", "--n-max", "5", "--out", str(out)]) == 1
+    assert "empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_critical_length_empty_range_is_domain_error(capsys):
+    assert main(["critical-length", "--threshold", "0.5", "--n-min", "9", "--n-max", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty" in captured.err
+
+
+def _usage_error(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_verify_rejects_nan_time(capsys):
+    err = _usage_error(["verify", "--n", "6", "--model", "all", "--t", "nan"], capsys)
+    assert "--t: must be a finite number" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_amplitudes_rejects_non_finite_time(value, capsys):
+    err = _usage_error(["amplitudes", "--n", "6", "--model", "nn", "--t", value], capsys)
+    assert "--t: must be a finite number" in err
+
+
+def test_critical_length_rejects_nan_threshold(capsys):
+    err = _usage_error(["critical-length", "--threshold", "nan", "--n-max", "6"], capsys)
+    assert "--threshold: must be a finite number" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["hamiltonian", "--n", "4"])  # missing --model

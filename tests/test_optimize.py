@@ -14,7 +14,6 @@ from spinrsc import (
     SweepModel,
     TransferMode,
     amplitude_matrix,
-    amplitude_series,
     chain_decomposition,
     critical_length,
     maximize_over_time,
@@ -28,6 +27,9 @@ from spinrsc import (
     svd_decompose,
     sweep,
 )
+from spinrsc import optimize
+from spinrsc.optimize import COARSE_STEP, SIGNIFICANCE_FLOOR
+from spinrsc.propagate import amplitude_grid
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,7 +190,7 @@ def test_first_maximum_basic_bounds():
 def test_constant_zero_objective_reports_no_maximum():
     dec = _dec(Coupling.NEAREST_NEIGHBOR, 4)
     with pytest.raises(MaximumNotFoundError, match="window"):
-        maximize_over_time(dec, lambda ts: np.zeros_like(ts))
+        maximize_over_time(dec, lambda ps: np.zeros(ps.shape[-1]))
 
 
 def test_window_validation():
@@ -289,8 +291,8 @@ def test_near_extremum_sibling_amplitude_is_negligible():
     for n in (10, 20, 30):
         dec = _dec(Coupling.NEAREST_NEIGHBOR, n)
 
-        def last_from_second(ts, d=dec):
-            return np.abs(amplitude_series(d, ts)[1, 1]) ** 2
+        def last_from_second(ps):
+            return np.abs(ps[1, 1]) ** 2
 
         t0, _ = maximize_over_time(dec, last_from_second)
         p = amplitude_matrix(dec, t0)
@@ -300,7 +302,7 @@ def test_near_extremum_sibling_amplitude_is_negligible():
 
 def test_sweep_rows_and_dominance():
     ns = range(4, 21)
-    rows = sweep(ns, [SweepModel.ALL_NO_V, SweepModel.ALL_WITH_V], threads=2)
+    rows = sweep(ns, [SweepModel.ALL_NO_V, SweepModel.ALL_WITH_V])
     assert len(rows) == 17 * 2
     by = {(r.model, r.n): r.r_max_sq for r in rows}
     for n in ns:
@@ -321,8 +323,56 @@ def test_sweep_range_validation():
         sweep([201], [SweepModel.NN])
 
 
+def test_sweep_rejects_empty_input():
+    with pytest.raises(ValueError, match="empty"):
+        sweep([], [SweepModel.NN])
+    with pytest.raises(ValueError, match="no models"):
+        sweep([4], [])
+
+
+def test_sweep_rows_equal_single_model_searches():
+    # all and all+v share one scan in the sweep; each must bracket exactly as
+    # its own single-objective search does
+    rows = sweep(range(4, 41), list(SweepModel))
+    assert len(rows) == 37 * 3
+    for row in rows:
+        dec = _dec(row.model.coupling, row.n)
+        assert (row.t0, row.r_max_sq) == maximize_over_time(dec, row.model.objective)
+
+
+def test_scan_result_independent_of_chunk_size(monkeypatch):
+    # the two values carried between chunks make every split point invisible
+    chains = [(kind, n) for kind in Coupling for n in (5, 16, 33)]
+    expected = [maximize_over_time(_dec(kind, n), objective)
+                for kind, n in chains for objective in Objective]
+    monkeypatch.setattr(optimize, "SCAN_POINTS_PER_NODE", 1)
+    got = [maximize_over_time(_dec(kind, n), objective)
+           for kind, n in chains for objective in Objective]
+    assert got == expected
+
+
+def test_significance_floor_margins():
+    # Over the paper's sweep the floor lies at least 1.5 decades above every
+    # coarse-grid local maximum before the accepted one, and every accepted
+    # peak at least 2 decades above the floor.
+    rows = sweep(range(4, 131), list(SweepModel))
+    earlier = 0.0
+    for row in rows:
+        dec = chain_decomposition(CouplingModel(row.model.coupling, row.n))
+        stop = int(row.t0 / COARSE_STEP) + 3  # through the bracket around t0
+        gs = row.model.objective(amplitude_grid(dec, 0.0, COARSE_STEP, 0, stop))
+        left, mid, right = gs[:-2], gs[1:-1], gs[2:]
+        maxima = mid[(mid >= left) & (mid > right)]
+        first = int(np.argmax(maxima > SIGNIFICANCE_FLOOR))
+        assert maxima[first] > SIGNIFICANCE_FLOOR, (row.n, row.model)
+        earlier = max(earlier, float(maxima[:first].max(initial=0.0)))
+    smallest_peak = min(row.r_max_sq for row in rows)
+    assert math.log10(SIGNIFICANCE_FLOOR / earlier) >= 1.5
+    assert math.log10(smallest_peak / SIGNIFICANCE_FLOOR) >= 2.0
+
+
 def test_high_threshold_critical_lengths():
-    rows = sweep(range(4, 21), list(SweepModel), threads=2)
+    rows = sweep(range(4, 21), list(SweepModel))
     results = {c.model: c for c in critical_length(rows, 0.9)}
     assert results[SweepModel.NN].n_critical == 6
     assert results[SweepModel.ALL_NO_V].n_critical == 4
@@ -347,17 +397,6 @@ def test_optimal_sender_certificate_across_sweep():
                 p, TransferMode.EXT_RECEIVER_NORM, 10**4, seed=n
             )
             assert achieved >= sampled - 1e-9
-
-
-def test_thread_count_resolution(monkeypatch):
-    from spinrsc.optimize import thread_count
-
-    assert thread_count(3) == 3
-    assert thread_count(0) == 1
-    monkeypatch.setenv("SPINRSC_THREADS", "2")
-    assert thread_count() == 2
-    monkeypatch.delenv("SPINRSC_THREADS")
-    assert thread_count() >= 1
 
 
 def test_protocol_fields_consistent():

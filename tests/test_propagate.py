@@ -19,6 +19,7 @@ from spinrsc import (
     transition_amplitude,
 )
 from spinrsc.oracle import full_transition_amplitude
+from spinrsc.propagate import GRID_BLOCK, amplitude_grid
 
 # frozen from the analytic spectral sum of the 4-site half-hopping chain:
 # sum_m sqrt(2/5) sin(4 m pi/5) * sqrt(2/5) sin(m pi/5) * exp(-i cos(m pi/5) pi)
@@ -48,6 +49,17 @@ def test_end_to_end_amplitude_matches_analytic_sum():
     got = transition_amplitude(dec, 4, 1, np.pi)
     assert got == pytest.approx(analytic, abs=1e-12)
     assert got == pytest.approx(P41_N4_AT_PI, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(Coupling))
+def test_amplitude_grid_matches_series(kind):
+    dec = _dec(kind, 23)
+    t_lo, step, start = 1.25, 0.05, 37
+    stop = start + 28 * GRID_BLOCK + 11  # ragged last block, t up to ~92
+    ts = t_lo + step * np.arange(start, stop)
+    grid = amplitude_grid(dec, t_lo, step, start, stop)
+    assert grid.shape == (2, 2, stop - start)
+    assert np.max(np.abs(grid - amplitude_series(dec, ts))) <= 1e-13
 
 
 def test_node_index_out_of_range():
