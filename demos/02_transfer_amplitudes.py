@@ -6,6 +6,9 @@ function of time, given that it started on node 1.  The probability rises
 sharply when the wavefront arrives, and the total over all nodes stays 1.
 """
 
+import cmath
+import math
+
 import numpy as np
 
 from spinrsc import (
@@ -13,7 +16,6 @@ from spinrsc import (
     CouplingModel,
     amplitude_series,
     chain_decomposition,
-    polar_turns,
     transition_amplitude,
 )
 
@@ -36,7 +38,7 @@ def main():
     print(f"\nprobability over all nodes at t = {t}: {total:.12f} (unitarity)")
 
     amp = transition_amplitude(dec, n, 1, 0.75 * n)
-    r, chi = polar_turns(amp)
+    r, chi = abs(amp), (cmath.phase(amp) / (2.0 * math.pi)) % 1.0
     print(f"polar form of p_N1 at t = {0.75 * n}: r = {r:.6f}, phase = {chi:.6f} turns")
 
 

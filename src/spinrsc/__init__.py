@@ -27,19 +27,18 @@ from .errors import (
 )
 from .optimize import (
     CriticalLength,
-    Objective,
     OptimalProtocol,
     SingularPair,
     SvdTriple,
     SweepModel,
     SweepRow,
     critical_length,
+    lam_plus_sq,
     maximize_over_time,
     objective_series,
     optimal_protocol,
     optimal_sender_state,
-    rmax_no_v,
-    singular_values,
+    row_norm_sq,
     svd_decompose,
     sweep,
 )
@@ -54,7 +53,6 @@ from .propagate import (
     SenderState,
     amplitude_matrix,
     amplitude_series,
-    polar_turns,
     sender_to_f,
     transition_amplitude,
 )
@@ -68,7 +66,6 @@ from .rsc import (
     control_to_amplitudes,
     creatable_params,
     create_state,
-    extended_eigenvalues,
     extended_receiver_density,
     receiver_from_params,
     region_grid,

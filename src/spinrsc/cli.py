@@ -68,24 +68,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _coupling(label: str) -> Coupling:
-    return Coupling(label)
-
-
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def _cmd_hamiltonian(args) -> int:
-    h = build_hamiltonian(build_couplings(CouplingModel(_coupling(args.model), args.n)))
+    h = build_hamiltonian(build_couplings(CouplingModel(Coupling(args.model), args.n)))
     for row in h:
         print(",".join(_fmt(float(x)) for x in row))
     return 0
 
 
 def _cmd_amplitudes(args) -> int:
-    dec = chain_decomposition(CouplingModel(_coupling(args.model), args.n))
+    dec = chain_decomposition(CouplingModel(Coupling(args.model), args.n))
     p = amplitude_matrix(dec, args.t)
     out = {
         "p_nm1_1": _pair(complex(p[0, 0])),
@@ -98,7 +94,7 @@ def _cmd_amplitudes(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    dec = chain_decomposition(CouplingModel(_coupling(args.model), args.n))
+    dec = chain_decomposition(CouplingModel(Coupling(args.model), args.n))
     protocol = optimal_protocol(dec, with_v=args.with_v)
     out = {
         "t0": protocol.t0,
@@ -138,7 +134,7 @@ def _cmd_critical_length(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    dec = chain_decomposition(CouplingModel(_coupling(args.model), args.n))
+    dec = chain_decomposition(CouplingModel(Coupling(args.model), args.n))
     protocol = optimal_protocol(dec, with_v=args.with_v)
     rows = region_grid(protocol, dec, args.step)
     lines = ["alpha1,alpha2,lambda,beta1,beta2"]
@@ -151,7 +147,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_create(args) -> int:
-    dec = chain_decomposition(CouplingModel(_coupling(args.model), args.n))
+    dec = chain_decomposition(CouplingModel(Coupling(args.model), args.n))
     protocol = optimal_protocol(dec, with_v=args.with_v)
     controls = ControlParams(args.alpha1, args.alpha2, args.phi1, args.phi2)
     rho, params = create_state(protocol, dec, controls)
@@ -167,7 +163,7 @@ def _cmd_create(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    model = CouplingModel(_coupling(args.model), args.n)
+    model = CouplingModel(Coupling(args.model), args.n)
     dec = chain_decomposition(model)
     deviation = 0.0
     for k in (model.n - 1, model.n):

@@ -5,10 +5,11 @@ largest squared singular value of ``P``, and that bound is attained by the
 dominant right singular vector.  Everything in this module is built on that
 fact: the 2x2 singular value decomposition supplies the optimal sender state
 ``a_opt``, the receiver-side unitary ``v0`` and the transfer probability,
-and a scalar search over time locates the first maximum of whichever
-objective applies (with or without the receiver-side unitary).  An objective
-is a function of a ``(2, 2, T)`` stack of P matrices, so one stack on a
-uniform grid serves every objective of a chain in a single coarse scan.
+and a scalar search over time locates the first maximum of the protocol
+variant's objective: :func:`lam_plus_sq` with the receiver-side unitary,
+:func:`row_norm_sq` without it.  An objective is a function of a
+``(2, 2, T)`` stack of P matrices, so one stack on a uniform grid serves
+every objective of a chain in a single coarse scan.
 """
 
 from __future__ import annotations
@@ -39,17 +40,16 @@ SCAN_POINTS_PER_NODE = 32
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 __all__ = [
-    "Objective",
     "SingularPair",
     "SvdTriple",
     "OptimalProtocol",
     "SweepModel",
     "SweepRow",
     "CriticalLength",
-    "singular_values",
     "svd_decompose",
     "optimal_sender_state",
-    "rmax_no_v",
+    "lam_plus_sq",
+    "row_norm_sq",
     "objective_series",
     "maximize_over_time",
     "optimal_protocol",
@@ -58,29 +58,9 @@ __all__ = [
 ]
 
 
-class Objective(enum.Enum):
-    """What to maximise over time; a member maps a ``(2, 2, T)`` P stack to T values."""
-
-    LAM_PLUS_SQ = "lam_plus_sq"  # largest squared singular value of P
-    ROW_NORM_SQ = "row_norm_sq"  # squared norm of P's bottom row (best |f_N|^2)
-
-    def __call__(self, ps: np.ndarray) -> np.ndarray:
-        if self is Objective.LAM_PLUS_SQ:
-            return _lam_plus_sq_series(ps)
-        return _row_norm_sq_series(ps)
-
-
 class SingularPair(NamedTuple):
     lam_minus: float
     lam_plus: float
-
-
-def singular_values(p: np.ndarray) -> SingularPair:
-    """Ascending singular values of the 2x2 amplitude matrix."""
-    p = np.asarray(p, dtype=complex)
-    evals = np.linalg.eigvalsh(p.conj().T @ p)
-    lam = np.sqrt(np.clip(evals, 0.0, None))
-    return SingularPair(float(lam[0]), float(lam[1]))
 
 
 @dataclass(frozen=True)
@@ -153,66 +133,67 @@ def optimal_sender_state(svd: SvdTriple) -> SenderState:
     return SenderState(a0=0.0, a1=complex(a[0]), a2=complex(a[1]))
 
 
-def rmax_no_v(p: np.ndarray) -> float:
-    """Best receiver-node probability without the receiver-side unitary.
+def lam_plus_sq(ps: np.ndarray) -> np.ndarray:
+    """Largest squared singular value of each 2x2 slice of a ``(2, 2, T)`` stack.
 
-    ``max |f_N|^2`` over unit senders, i.e. the squared norm of P's bottom row.
+    The transfer objective with the receiver-side unitary: the best
+    extended-receiver probability over unit senders.
     """
-    p = np.asarray(p, dtype=complex)
-    return float(abs(p[1, 0]) ** 2 + abs(p[1, 1]) ** 2)
-
-
-def _lam_plus_sq_series(ps: np.ndarray) -> np.ndarray:
-    """Largest squared singular value of each 2x2 slice of a (2, 2, T) stack."""
     trace = np.sum(np.abs(ps) ** 2, axis=(0, 1))
     det = ps[0, 0] * ps[1, 1] - ps[0, 1] * ps[1, 0]
     disc = np.sqrt(np.clip(trace**2 - 4.0 * np.abs(det) ** 2, 0.0, None))
     return 0.5 * (trace + disc)
 
 
-def _row_norm_sq_series(ps: np.ndarray) -> np.ndarray:
+def row_norm_sq(ps: np.ndarray) -> np.ndarray:
+    """Squared norm of the bottom row of each 2x2 slice of a ``(2, 2, T)`` stack.
+
+    The transfer objective without the receiver-side unitary: the best
+    receiver-node probability ``|f_N|^2`` over unit senders.
+    """
     return np.abs(ps[1, 0]) ** 2 + np.abs(ps[1, 1]) ** 2
 
 
 ObjectiveFn = Callable[[np.ndarray], np.ndarray]
 
 
+def _objective(with_v: bool) -> ObjectiveFn:
+    """The objective of a protocol variant, with or without the receiver-side unitary."""
+    return lam_plus_sq if with_v else row_norm_sq
+
+
 def objective_series(dec: SpectralDecomposition, objective: ObjectiveFn, ts) -> np.ndarray:
     """Evaluate the transfer objective at each time in ``ts``.
 
-    ``objective`` is an :class:`Objective` member or any other callable that
-    maps a ``(2, 2, T)`` stack of P matrices to T values.
+    ``objective`` maps a ``(2, 2, T)`` stack of P matrices to T values, e.g.
+    :func:`lam_plus_sq` or :func:`row_norm_sq`.
     """
     return np.asarray(objective(amplitude_series(dec, ts)), dtype=float)
 
 
-def _first_brackets(
-    dec: SpectralDecomposition,
-    objectives: Sequence[ObjectiveFn],
-    t_lo: float,
-    t_hi: float,
-    step: float,
-    floor: float,
-) -> list[tuple[float, float] | None]:
-    """Coarse-scan for each objective's first significant local maximum.
+def _first_maxima(
+    dec: SpectralDecomposition, objectives: Sequence[ObjectiveFn]
+) -> list[tuple[float, float]]:
+    """``(t0, objective(t0))`` per objective, all bracketed by one coarse scan.
 
-    The grid ``t_lo + step * k`` is evaluated in chunks of
+    The grid ``COARSE_STEP * k`` over ``[0, 4 n]`` is evaluated in chunks of
     ``SCAN_POINTS_PER_NODE * n`` points, and every objective still without a
     maximum reads the same P stack of a chunk.  A grid point is a hit when it
     does not fall below its left neighbour, strictly exceeds its right
-    neighbour and rises above ``floor``; the surrounding pair of grid points
-    brackets the maximum.  The last two values of a chunk carry over, so no
-    hit depends on where the chunks split.  Objectives without a hit in the
-    window get None.
+    neighbour and rises above ``SIGNIFICANCE_FLOOR``; the surrounding pair of
+    grid points brackets the maximum.  The last two values of a chunk carry
+    over, so no hit depends on where the chunks split.  Each bracket is then
+    refined by golden section until it is narrower than ``REFINE_TOL``.
     """
-    total = int(math.floor((t_hi - t_lo) / step + 1e-9)) + 1
+    step, floor, t_hi = COARSE_STEP, SIGNIFICANCE_FLOOR, 4.0 * dec.n
+    total = int(math.floor(t_hi / step + 1e-9)) + 1
     chunk = SCAN_POINTS_PER_NODE * dec.n
     brackets: list[tuple[float, float] | None] = [None] * len(objectives)
     tails = [np.empty(0)] * len(objectives)
     start = 0
-    while start < total and any(b is None for b in brackets):
+    while start < total and None in brackets:
         stop = min(start + chunk, total)
-        ps = amplitude_grid(dec, t_lo, step, start, stop)
+        ps = amplitude_grid(dec, 0.0, step, start, stop)
         for i, objective in enumerate(objectives):
             if brackets[i] is not None:
                 continue
@@ -221,33 +202,15 @@ def _first_brackets(
             hits = np.nonzero((mid >= left) & (mid > right) & (mid > floor))[0]
             if hits.size:
                 k = start - tails[i].shape[0] + int(hits[0]) + 1
-                brackets[i] = (t_lo + step * (k - 1), t_lo + step * (k + 1))
+                brackets[i] = (step * (k - 1), step * (k + 1))
             tails[i] = gs[-2:]
         start = stop
-    return brackets
-
-
-def _golden_max(fn, a: float, b: float, tol: float) -> float:
-    """Golden-section search for the maximum of ``fn`` on [a, b]."""
-    inv_phi = _INV_PHI
-    inv_phi_sq = 1.0 - inv_phi
-    h = b - a
-    c = a + inv_phi_sq * h
-    d = a + inv_phi * h
-    yc = fn(np.array([c]))[0]
-    yd = fn(np.array([d]))[0]
-    while h > tol:
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + inv_phi_sq * h
-            yc = fn(np.array([c]))[0]
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + inv_phi * h
-            yd = fn(np.array([d]))[0]
-    return 0.5 * (a + b)
+    if None in brackets:
+        raise MaximumNotFoundError(
+            f"no local maximum of the objective above {floor:g} in the time window "
+            f"[0, {t_hi:g}]"
+        )
+    return [_refine(dec, objective, *bracket) for objective, bracket in zip(objectives, brackets)]
 
 
 def _refine(
@@ -255,54 +218,38 @@ def _refine(
 ) -> tuple[float, float]:
     """Golden-section maximum on [a, b] as ``(t0, objective(t0))``, one time per evaluation."""
 
-    def fn(ts: np.ndarray) -> np.ndarray:
-        return objective_series(dec, objective, ts)
+    def fn(t: float) -> float:
+        return objective_series(dec, objective, np.array([t]))[0]
 
-    t0 = _golden_max(fn, a, b, REFINE_TOL)
-    return t0, float(fn(np.array([t0]))[0])
-
-
-def _first_maxima(
-    dec: SpectralDecomposition,
-    objectives: Sequence[ObjectiveFn],
-    window: tuple[float, float] | None = None,
-    step: float = COARSE_STEP,
-    floor: float = SIGNIFICANCE_FLOOR,
-) -> list[tuple[float, float]]:
-    """``(t0, objective(t0))`` per objective, all bracketed by one coarse scan.
-
-    Each bracket is refined by golden section until it is narrower than
-    ``REFINE_TOL``.
-    """
-    if window is None:
-        window = (0.0, 4.0 * dec.n)
-    t_lo, t_hi = float(window[0]), float(window[1])
-    if not 0.0 <= t_lo < t_hi:
-        raise ValueError(f"time window must satisfy 0 <= t_min < t_max, got {window!r}")
-    brackets = _first_brackets(dec, objectives, t_lo, t_hi, step, floor)
-    if None in brackets:
-        raise MaximumNotFoundError(
-            f"no significant local maximum of the objective in [{t_lo:g}, {t_hi:g}]; "
-            "enlarge the window"
-        )
-    return [_refine(dec, objective, *bracket) for objective, bracket in zip(objectives, brackets)]
+    inv_phi_sq = 1.0 - _INV_PHI
+    h = b - a
+    c = a + inv_phi_sq * h
+    d = a + _INV_PHI * h
+    yc, yd = fn(c), fn(d)
+    while h > REFINE_TOL:
+        if yc > yd:
+            b, d, yd = d, c, yc
+            h = b - a
+            c = a + inv_phi_sq * h
+            yc = fn(c)
+        else:
+            a, c, yc = c, d, yd
+            h = b - a
+            d = a + _INV_PHI * h
+            yd = fn(d)
+    t0 = 0.5 * (a + b)
+    return t0, float(fn(t0))
 
 
-def maximize_over_time(
-    dec: SpectralDecomposition,
-    objective: ObjectiveFn,
-    window: tuple[float, float] | None = None,
-    step: float = COARSE_STEP,
-    floor: float = SIGNIFICANCE_FLOOR,
-) -> tuple[float, float]:
+def maximize_over_time(dec: SpectralDecomposition, objective: ObjectiveFn) -> tuple[float, float]:
     """First significant local maximum of the objective over time.
 
-    Scans ``[window[0], window[1]]`` (default ``[0, 4 n]``) with the coarse
-    step, brackets the first interior maximum rising above ``floor`` and
-    refines it by golden section until the bracket is narrower than
-    ``REFINE_TOL``.  Returns ``(t0, objective(t0))``.
+    Scans ``[0, 4 n]`` with ``COARSE_STEP``, brackets the first interior
+    maximum rising above ``SIGNIFICANCE_FLOOR`` and refines it by golden
+    section until the bracket is narrower than ``REFINE_TOL``.  Returns
+    ``(t0, objective(t0))``.
     """
-    return _first_maxima(dec, [objective], window, step, floor)[0]
+    return _first_maxima(dec, [objective])[0]
 
 
 @dataclass(frozen=True)
@@ -326,11 +273,7 @@ class OptimalProtocol:
         return self.svd.v0 if self.with_v else np.eye(2, dtype=complex)
 
 
-def optimal_protocol(
-    dec: SpectralDecomposition,
-    with_v: bool = True,
-    window: tuple[float, float] | None = None,
-) -> OptimalProtocol:
+def optimal_protocol(dec: SpectralDecomposition, with_v: bool = True) -> OptimalProtocol:
     """Time-optimised transfer protocol for one chain.
 
     With the receiver-side unitary the objective is the largest squared
@@ -338,8 +281,7 @@ def optimal_protocol(
     objective is the bottom-row norm and ``a_opt`` is the normalised
     conjugate of that row (which maximises ``|f_N|``).
     """
-    objective = Objective.LAM_PLUS_SQ if with_v else Objective.ROW_NORM_SQ
-    t0, value = maximize_over_time(dec, objective, window)
+    t0, value = maximize_over_time(dec, _objective(with_v))
     p = amplitude_matrix(dec, t0)
     svd = svd_decompose(p)
     if with_v:
@@ -365,8 +307,8 @@ class SweepModel(enum.Enum):
         return Coupling.NEAREST_NEIGHBOR if self is SweepModel.NN else Coupling.ALL_NODE
 
     @property
-    def objective(self) -> Objective:
-        return Objective.LAM_PLUS_SQ if self is SweepModel.ALL_WITH_V else Objective.ROW_NORM_SQ
+    def objective(self) -> ObjectiveFn:
+        return _objective(self is SweepModel.ALL_WITH_V)
 
 
 @dataclass(frozen=True)
@@ -378,13 +320,13 @@ class SweepRow:
 
 
 def sweep(ns: Iterable[int], models: Iterable[SweepModel]) -> list[SweepRow]:
-    """One optimised row per (chain length, model), n-major and model-minor.
+    """One optimised row per (chain length, distinct model), n-major and model-minor.
 
     Models of the same coupling share one decomposition and one coarse scan
     per chain length: ``all`` and ``all+v`` read the same P stack.
     """
     ns = list(ns)
-    models = list(models)
+    models = list(dict.fromkeys(models))  # a repeated model gets one row per length
     if not ns:
         raise ValueError("no chain lengths to sweep: the range is empty")
     if not models:
@@ -393,7 +335,7 @@ def sweep(ns: Iterable[int], models: Iterable[SweepModel]) -> list[SweepRow]:
         if not 4 <= n <= 200:
             raise ValueError(f"swept chain lengths must lie in [4, 200], got {n}")
     groups: dict[Coupling, list[SweepModel]] = {}
-    for model in dict.fromkeys(models):
+    for model in models:
         groups.setdefault(model.coupling, []).append(model)
     rows = []
     for n in ns:

@@ -14,8 +14,6 @@ is the matrix ``P``; for a sender state with excitation amplitudes
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +24,6 @@ NORM_TOL = 1e-12
 GRID_BLOCK = 64  # grid points sharing one block phase in amplitude_grid
 
 __all__ = [
-    "polar_turns",
     "transition_amplitude",
     "amplitude_series",
     "amplitude_grid",
@@ -35,16 +32,6 @@ __all__ = [
     "FVector",
     "sender_to_f",
 ]
-
-
-def polar_turns(value: complex) -> tuple[float, float]:
-    """Polar form ``(r, chi)`` of a complex amplitude, phase in turns.
-
-    ``chi`` lies in [0, 1) and ``value == r * exp(2j * pi * chi)``.
-    """
-    r = abs(value)
-    chi = (cmath.phase(value) / (2.0 * math.pi)) % 1.0
-    return r, chi
 
 
 def transition_amplitude(dec: SpectralDecomposition, k: int, j: int, t: float) -> complex:

@@ -29,7 +29,6 @@ __all__ = [
     "CoverageReport",
     "control_to_amplitudes",
     "extended_receiver_density",
-    "extended_eigenvalues",
     "apply_v_and_reduce",
     "creatable_params",
     "receiver_from_params",
@@ -93,22 +92,6 @@ def extended_receiver_density(f: FVector) -> np.ndarray:
     rho[2, 0] = rho[0, 2].conjugate()
     rho[2, 1] = rho[1, 2].conjugate()
     return rho
-
-
-def extended_eigenvalues(r_sq: float, r0: float) -> tuple[float, float]:
-    """Closed-form nonzero eigenvalues (larger first) of the extended receiver.
-
-    ``r_sq`` is the transfer probability to the last two nodes and ``r0`` the
-    vacuum amplitude: the eigenvalues are
-    ``(1 +- sqrt((1 - 2 r_sq)^2 + 4 r_sq r0^2)) / 2``.
-    """
-    total = r0 * r0 + r_sq
-    if r_sq < 0.0 or not 0.0 <= total <= 1.0 + 1e-12:
-        raise ValueError(
-            f"amplitudes violate r0^2 + r_sq in [0, 1]: r0^2={r0 * r0!r}, r_sq={r_sq!r}"
-        )
-    disc = math.sqrt((1.0 - 2.0 * r_sq) ** 2 + 4.0 * r_sq * r0 * r0)
-    return 0.5 * (1.0 + disc), 0.5 * (1.0 - disc)
 
 
 def apply_v_and_reduce(rho_ext: np.ndarray, v0: np.ndarray) -> np.ndarray:
@@ -194,6 +177,15 @@ def receiver_from_params(params: CreatableParams) -> np.ndarray:
     return u @ np.diag([params.lam, 1.0 - params.lam]) @ u.conj().T
 
 
+def _create(
+    p: np.ndarray, v0: np.ndarray, controls: ControlParams
+) -> tuple[np.ndarray, CreatableParams]:
+    """Receiver state and its coordinates for one control point, given ``P(t0)`` and ``v0``."""
+    f = sender_to_f(p, control_to_amplitudes(controls))
+    rho_r = apply_v_and_reduce(extended_receiver_density(f), v0)
+    return rho_r, creatable_params(rho_r)
+
+
 def create_state(
     protocol: OptimalProtocol,
     dec: SpectralDecomposition,
@@ -204,11 +196,7 @@ def create_state(
     Returns the 2x2 receiver density matrix at ``protocol.t0`` (after the
     protocol's receiver-side unitary) together with its coordinates.
     """
-    p = amplitude_matrix(dec, protocol.t0)
-    s = control_to_amplitudes(controls)
-    f = sender_to_f(p, s)
-    rho_r = apply_v_and_reduce(extended_receiver_density(f), protocol.v0)
-    return rho_r, creatable_params(rho_r)
+    return _create(amplitude_matrix(dec, protocol.t0), protocol.v0, controls)
 
 
 @dataclass(frozen=True)
@@ -244,10 +232,7 @@ def region_grid(
     rows = []
     for alpha1 in alphas:
         for alpha2 in alphas:
-            s = control_to_amplitudes(ControlParams(alpha1, alpha2, 0.0, 0.0))
-            f = sender_to_f(p, s)
-            rho_r = apply_v_and_reduce(extended_receiver_density(f), v0)
-            cp = creatable_params(rho_r)
+            cp = _create(p, v0, ControlParams(alpha1, alpha2, 0.0, 0.0))[1]
             rows.append(RegionRow(alpha1, alpha2, cp.lam, cp.beta1, cp.beta2))
     return rows
 

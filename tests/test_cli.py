@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,14 @@ def test_sweep_csv_shape_and_determinism(tmp_path):
     assert len(lines) == 1 + 5 * 3
     assert lines[1].startswith("4,nn,")
     assert text == out2.read_text()
+
+
+def test_sweep_repeated_model_writes_each_row_once(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n-min", "4", "--n-max", "6", "--models", "nn,nn",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [["4", "nn"], ["5", "nn"], ["6", "nn"]]
 
 
 def test_critical_length_reports_known_values(capsys):
@@ -177,11 +186,13 @@ def test_usage_error_exit_code():
 
 
 def test_console_entry_point_runs():
+    root = Path(__file__).resolve().parents[1]
     result = subprocess.run(
         [sys.executable, "-m", "spinrsc", "hamiltonian", "--n", "4", "--model", "all"],
         capture_output=True,
         text=True,
-        cwd=Path(__file__).resolve().parents[1],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
     )
     assert result.returncode == 0
     assert len(result.stdout.strip().splitlines()) == 4

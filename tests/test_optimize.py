@@ -1,3 +1,4 @@
+import cmath
 import functools
 import math
 
@@ -9,21 +10,19 @@ from spinrsc import (
     CouplingModel,
     DegenerateProtocolError,
     MaximumNotFoundError,
-    Objective,
     SpectralDecomposition,
     SweepModel,
     TransferMode,
     amplitude_matrix,
     chain_decomposition,
     critical_length,
+    lam_plus_sq,
     maximize_over_time,
     objective_series,
     optimal_protocol,
     optimal_sender_state,
-    polar_turns,
-    rmax_no_v,
+    row_norm_sq,
     sample_max_transfer,
-    singular_values,
     svd_decompose,
     sweep,
 )
@@ -43,7 +42,8 @@ def _closed_form_singular(p: np.ndarray) -> tuple[float, float]:
     chi = np.empty((2, 2))
     for a in range(2):
         for b in range(2):
-            r[a, b], chi[a, b] = polar_turns(complex(p[a, b]))
+            z = complex(p[a, b])
+            r[a, b], chi[a, b] = abs(z), cmath.phase(z) / (2.0 * math.pi)
     total = float((r**2).sum())
     q = total**2 - 4.0 * (
         r[0, 1] ** 2 * r[1, 0] ** 2
@@ -60,18 +60,21 @@ def _closed_form_singular(p: np.ndarray) -> tuple[float, float]:
 
 
 def test_singular_values_trivial_cases():
-    assert singular_values(np.zeros((2, 2))) == (0.0, 0.0)
-    pair = singular_values(np.diag([0.3, 0.4]))
+    assert svd_decompose(np.zeros((2, 2))).lam == (0.0, 0.0)
+    pair = svd_decompose(np.diag([0.3, 0.4])).lam
     assert pair.lam_minus == pytest.approx(0.3, abs=1e-14)
     assert pair.lam_plus == pytest.approx(0.4, abs=1e-14)
+    stack = np.stack([np.zeros((2, 2)), np.diag([0.3, 0.4])], axis=-1)
+    assert np.allclose(lam_plus_sq(stack), [0.0, 0.16], rtol=0.0, atol=1e-14)
 
 
 def test_singular_values_match_polar_closed_form():
     p = amplitude_matrix(_dec(Coupling.ALL_NODE, 6), 3.0)
-    got = singular_values(p)
+    got = svd_decompose(p).lam
     expected = _closed_form_singular(p)
     assert got.lam_minus == pytest.approx(expected[0], abs=1e-9)
     assert got.lam_plus == pytest.approx(expected[1], abs=1e-9)
+    assert lam_plus_sq(p[:, :, None])[0] == pytest.approx(expected[1] ** 2, abs=1e-9)
     assert got.lam_minus**2 + got.lam_plus**2 == pytest.approx(
         float(np.sum(np.abs(p) ** 2)), abs=1e-10
     )
@@ -105,7 +108,7 @@ def test_svd_antidiagonal_column_norms():
 
 def test_svd_reconstruction_and_sampling_bound_at_optimum():
     dec = _dec(Coupling.ALL_NODE, 5)
-    t0, _ = maximize_over_time(dec, Objective.LAM_PLUS_SQ)
+    t0, _ = maximize_over_time(dec, lam_plus_sq)
     p = amplitude_matrix(dec, t0)
     svd = svd_decompose(p)
     recon = svd.v0.conj().T @ np.diag(svd.lam) @ svd.u
@@ -130,7 +133,7 @@ def test_svd_reconstruction_unitarity_random_chains():
 
 def test_v0_second_row_is_conjugated_arrival_direction():
     dec = _dec(Coupling.ALL_NODE, 9)
-    t0, _ = maximize_over_time(dec, Objective.LAM_PLUS_SQ)
+    t0, _ = maximize_over_time(dec, lam_plus_sq)
     p = amplitude_matrix(dec, t0)
     svd = svd_decompose(p)
     a = optimal_sender_state(svd)
@@ -166,23 +169,24 @@ def test_optimal_sender_beats_basis_columns_long_chain():
 
 
 def test_rmax_no_v_values():
-    assert rmax_no_v(np.zeros((2, 2))) == 0.0
-    p = np.array([[0.0, 0.0], [0.3, 0.4]])
-    assert rmax_no_v(p) == pytest.approx(0.25, abs=1e-14)
+    # without the receiver-side unitary the best transfer is P's bottom-row norm
+    stack = np.stack([np.zeros((2, 2)), np.array([[0.0, 0.0], [0.3, 0.4]])], axis=-1)
+    assert np.allclose(row_norm_sq(stack), [0.0, 0.25], rtol=0.0, atol=1e-14)
 
 
 def test_rmax_no_v_matches_sampling_oracle():
     dec = _dec(Coupling.ALL_NODE, 6)
-    t0, value = maximize_over_time(dec, Objective.ROW_NORM_SQ)
+    t0, value = maximize_over_time(dec, row_norm_sq)
     p = amplitude_matrix(dec, t0)
-    assert rmax_no_v(p) == pytest.approx(value, abs=1e-12)
+    best = row_norm_sq(p[:, :, None])[0]
+    assert best == pytest.approx(value, abs=1e-12)
     sampled = sample_max_transfer(p, TransferMode.LAST_NODE_ONLY, 10**7, seed=0)
-    assert 0.0 <= rmax_no_v(p) - sampled < 1e-6
+    assert 0.0 <= best - sampled < 1e-6
 
 
 def test_first_maximum_basic_bounds():
     dec = _dec(Coupling.NEAREST_NEIGHBOR, 4)
-    t0, value = maximize_over_time(dec, Objective.ROW_NORM_SQ)
+    t0, value = maximize_over_time(dec, row_norm_sq)
     assert t0 > 0.0
     assert 0.0 < value <= 1.0
 
@@ -193,26 +197,21 @@ def test_constant_zero_objective_reports_no_maximum():
         maximize_over_time(dec, lambda ps: np.zeros(ps.shape[-1]))
 
 
-def test_window_validation():
-    dec = _dec(Coupling.NEAREST_NEIGHBOR, 4)
-    with pytest.raises(ValueError, match="window"):
-        maximize_over_time(dec, Objective.ROW_NORM_SQ, window=(2.0, 1.0))
-
-
-def test_step_halving_self_consistency():
+def test_step_halving_self_consistency(monkeypatch):
     dec = _dec(Coupling.ALL_NODE, 20)
-    t0_coarse, _ = maximize_over_time(dec, Objective.LAM_PLUS_SQ, step=0.05)
-    t0_fine, _ = maximize_over_time(dec, Objective.LAM_PLUS_SQ, step=0.01)
+    t0_coarse, _ = maximize_over_time(dec, lam_plus_sq)
+    monkeypatch.setattr(optimize, "COARSE_STEP", 0.01)
+    t0_fine, _ = maximize_over_time(dec, lam_plus_sq)
     assert abs(t0_coarse - t0_fine) < 1e-6
 
 
 def test_objective_series_row_norm_matches_matrix():
     dec = _dec(Coupling.ALL_NODE, 8)
     ts = np.array([1.0, 4.0, 9.0])
-    values = objective_series(dec, Objective.ROW_NORM_SQ, ts)
+    values = objective_series(dec, row_norm_sq, ts)
     for i, t in enumerate(ts):
         p = amplitude_matrix(dec, t)
-        assert values[i] == pytest.approx(rmax_no_v(p), abs=1e-12)
+        assert values[i] == pytest.approx(abs(p[1, 0]) ** 2 + abs(p[1, 1]) ** 2, abs=1e-12)
 
 
 def test_largest_singular_value_dominates_row_norm():
@@ -223,8 +222,8 @@ def test_largest_singular_value_dominates_row_norm():
         kind = Coupling.ALL_NODE if rng.random() < 0.5 else Coupling.NEAREST_NEIGHBOR
         dec = _dec(kind, n)
         ts = rng.uniform(0.0, 4.0 * n, size=25)
-        lam = objective_series(dec, Objective.LAM_PLUS_SQ, ts)
-        row = objective_series(dec, Objective.ROW_NORM_SQ, ts)
+        lam = objective_series(dec, lam_plus_sq, ts)
+        row = objective_series(dec, row_norm_sq, ts)
         assert np.all(lam >= row - 1e-12)
         checked += ts.size
 
@@ -254,7 +253,7 @@ def test_gauge_independence_of_protocol():
             energies=dec.energies.copy(),
             vectors=dec.vectors * np.where(np.arange(n) % 2 == 0, -1.0, 1.0),
         )
-        for objective in Objective:
+        for objective in (lam_plus_sq, row_norm_sq):
             t0_a, val_a = maximize_over_time(dec, objective)
             t0_b, val_b = maximize_over_time(flipped, objective)
             assert abs(t0_a - t0_b) < 1e-10
@@ -316,6 +315,27 @@ def test_sweep_rows_and_dominance():
     ]
 
 
+def test_sweep_repeated_model_gives_one_row_per_length():
+    rows = sweep([5, 6], [SweepModel.NN, SweepModel.ALL_NO_V, SweepModel.NN])
+    assert [(r.n, r.model) for r in rows] == [
+        (5, SweepModel.NN),
+        (5, SweepModel.ALL_NO_V),
+        (6, SweepModel.NN),
+        (6, SweepModel.ALL_NO_V),
+    ]
+
+
+def test_protocol_and_sweep_share_the_variant_objective():
+    # with the receiver-side unitary: lam_plus_sq; without it: row_norm_sq
+    assert SweepModel.ALL_WITH_V.objective is lam_plus_sq
+    assert SweepModel.ALL_NO_V.objective is row_norm_sq
+    assert SweepModel.NN.objective is row_norm_sq
+    dec = _dec(Coupling.ALL_NODE, 14)
+    for with_v, objective in ((True, lam_plus_sq), (False, row_norm_sq)):
+        protocol = optimal_protocol(dec, with_v=with_v)
+        assert (protocol.t0, protocol.r_max_sq) == maximize_over_time(dec, objective)
+
+
 def test_sweep_range_validation():
     with pytest.raises(ValueError, match="4, 200"):
         sweep([3], [SweepModel.NN])
@@ -344,10 +364,10 @@ def test_scan_result_independent_of_chunk_size(monkeypatch):
     # the two values carried between chunks make every split point invisible
     chains = [(kind, n) for kind in Coupling for n in (5, 16, 33)]
     expected = [maximize_over_time(_dec(kind, n), objective)
-                for kind, n in chains for objective in Objective]
+                for kind, n in chains for objective in (lam_plus_sq, row_norm_sq)]
     monkeypatch.setattr(optimize, "SCAN_POINTS_PER_NODE", 1)
     got = [maximize_over_time(_dec(kind, n), objective)
-           for kind, n in chains for objective in Objective]
+           for kind, n in chains for objective in (lam_plus_sq, row_norm_sq)]
     assert got == expected
 
 
@@ -411,7 +431,7 @@ def test_protocol_fields_consistent():
 
     no_v = optimal_protocol(dec, with_v=False)
     p = amplitude_matrix(dec, no_v.t0)
-    assert no_v.r_max_sq == pytest.approx(rmax_no_v(p), abs=1e-12)
+    assert no_v.r_max_sq == pytest.approx(abs(p[1, 0]) ** 2 + abs(p[1, 1]) ** 2, abs=1e-12)
     assert np.allclose(no_v.v0, np.eye(2))
     # the no-V sender state maximises the receiver-node probability
     f_n = (p @ no_v.a_opt.excitation)[1]

@@ -13,7 +13,6 @@ from spinrsc import (
     amplitude_matrix,
     amplitude_series,
     chain_decomposition,
-    polar_turns,
     sender_to_f,
     spectral_decompose,
     transition_amplitude,
@@ -114,28 +113,6 @@ def test_series_matches_single_time_calls():
     series = amplitude_series(dec, ts)
     for i, t in enumerate(ts):
         assert np.allclose(series[:, :, i], amplitude_matrix(dec, t), atol=1e-14)
-
-
-def test_polar_turns_basics():
-    r, chi = polar_turns(1.0 + 0.0j)
-    assert (r, chi) == (1.0, 0.0)
-    r, chi = polar_turns(2.0j)
-    assert r == pytest.approx(2.0)
-    assert chi == pytest.approx(0.25)
-    r, chi = polar_turns(-1.0 + 0.0j)
-    assert chi == pytest.approx(0.5)
-
-
-@given(
-    r=st.floats(min_value=1e-6, max_value=10.0),
-    chi=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-)
-def test_polar_turns_roundtrip(r, chi):
-    value = r * np.exp(2j * np.pi * chi)
-    r2, chi2 = polar_turns(complex(value))
-    assert r2 == pytest.approx(r, rel=1e-12)
-    gap = min(abs(chi2 - chi), 1.0 - abs(chi2 - chi))
-    assert gap < 1e-9
 
 
 @settings(max_examples=40, deadline=None)

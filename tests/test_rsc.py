@@ -20,7 +20,6 @@ from spinrsc import (
     control_to_amplitudes,
     creatable_params,
     create_state,
-    extended_eigenvalues,
     extended_receiver_density,
     optimal_protocol,
     receiver_from_params,
@@ -109,22 +108,9 @@ def test_extended_density_eigenvalues_match_closed_form_at_optimum():
     assert np.max(np.abs(eigs - expected)) < 1e-10
 
 
-def test_extended_eigenvalues_closed_form():
-    assert extended_eigenvalues(0.0, 0.3)[0] == pytest.approx(1.0, abs=1e-14)
-    assert extended_eigenvalues(0.5, 0.0)[0] == pytest.approx(0.5, abs=1e-14)
-    plus, minus = extended_eigenvalues(0.25, 0.0)
-    assert plus == pytest.approx(0.75, abs=1e-14)
-    assert minus == pytest.approx(0.25, abs=1e-14)
-
-
-def test_extended_eigenvalues_domain_checks():
-    with pytest.raises(ValueError):
-        extended_eigenvalues(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        extended_eigenvalues(0.9, 0.9)
-
-
 def test_extended_eigenvalues_match_direct_diagonalisation():
+    # nonzero eigenvalues of the extended receiver in closed form:
+    # (1 +- sqrt((1 - 2 r^2)^2 + 4 r^2 f0^2)) / 2 with r^2 the transfer probability
     rng = np.random.default_rng(31)
     dec = _dec(Coupling.ALL_NODE, 8)
     p = amplitude_matrix(dec, 9.0)
@@ -133,7 +119,9 @@ def test_extended_eigenvalues_match_direct_diagonalisation():
         f = sender_to_f(p, control_to_amplitudes(c))
         rho = extended_receiver_density(f)
         eigs = np.sort(np.linalg.eigvalsh(rho))[::-1]
-        plus, minus = extended_eigenvalues(f.transfer_sq, f.f0)
+        r_sq = f.transfer_sq
+        disc = math.sqrt((1.0 - 2.0 * r_sq) ** 2 + 4.0 * r_sq * f.f0**2)
+        plus, minus = 0.5 * (1.0 + disc), 0.5 * (1.0 - disc)
         assert eigs[0] == pytest.approx(plus, abs=1e-10)
         assert eigs[1] == pytest.approx(minus, abs=1e-10)
 
