@@ -27,6 +27,9 @@ from .rsc import ControlParams, create_state, region_grid
 
 __all__ = ["main", "entry"]
 
+_MODEL_LABELS = tuple(model.value for model in SweepModel)
+_MODELS_HELP = f"comma list of {', '.join(_MODEL_LABELS)}"
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -68,6 +71,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _chain(args):
+    """Decomposition of the chain named by the ``--model`` and ``--n`` flags."""
+    return chain_decomposition(CouplingModel(Coupling(args.model), args.n))
+
+
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -81,7 +89,7 @@ def _cmd_hamiltonian(args) -> int:
 
 
 def _cmd_amplitudes(args) -> int:
-    dec = chain_decomposition(CouplingModel(Coupling(args.model), args.n))
+    dec = _chain(args)
     p = amplitude_matrix(dec, args.t)
     out = {
         "p_nm1_1": _pair(complex(p[0, 0])),
@@ -94,7 +102,7 @@ def _cmd_amplitudes(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    dec = chain_decomposition(CouplingModel(Coupling(args.model), args.n))
+    dec = _chain(args)
     protocol = optimal_protocol(dec, with_v=args.with_v)
     out = {
         "t0": protocol.t0,
@@ -112,7 +120,9 @@ def _parse_models(text: str) -> list[SweepModel]:
     try:
         return [SweepModel(label) for label in text.split(",") if label]
     except ValueError as exc:
-        raise ValueError(f"unknown model list {text!r}; valid labels: nn, all, all+v") from exc
+        raise ValueError(
+            f"unknown model list {text!r}; valid labels: {', '.join(_MODEL_LABELS)}"
+        ) from exc
 
 
 def _cmd_sweep(args) -> int:
@@ -134,7 +144,7 @@ def _cmd_critical_length(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    dec = chain_decomposition(CouplingModel(Coupling(args.model), args.n))
+    dec = _chain(args)
     protocol = optimal_protocol(dec, with_v=args.with_v)
     rows = region_grid(protocol, dec, args.step)
     lines = ["alpha1,alpha2,lambda,beta1,beta2"]
@@ -147,7 +157,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_create(args) -> int:
-    dec = chain_decomposition(CouplingModel(Coupling(args.model), args.n))
+    dec = _chain(args)
     protocol = optimal_protocol(dec, with_v=args.with_v)
     controls = ControlParams(args.alpha1, args.alpha2, args.phi1, args.phi2)
     rho, params = create_state(protocol, dec, controls)
@@ -177,7 +187,9 @@ def _cmd_verify(args) -> int:
 
 def _add_chain_flags(sub, with_v_flag: bool = False) -> None:
     sub.add_argument("--n", type=int, required=True, help="chain length (>= 4)")
-    sub.add_argument("--model", choices=["nn", "all"], required=True, help="coupling kind")
+    sub.add_argument(
+        "--model", choices=[kind.value for kind in Coupling], required=True, help="coupling kind"
+    )
     if with_v_flag:
         sub.add_argument(
             "--with-v",
@@ -210,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("sweep", help="write per-length optimised probabilities to CSV")
     s.add_argument("--n-min", type=int, required=True)
     s.add_argument("--n-max", type=int, required=True)
-    s.add_argument("--models", default="nn,all,all+v", help="comma list of nn, all, all+v")
+    s.add_argument("--models", default=",".join(_MODEL_LABELS), help=_MODELS_HELP)
     s.add_argument("--out", required=True, help="output CSV path")
     s.set_defaults(func=_cmd_sweep)
 
@@ -218,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threshold", type=_finite_float, required=True)
     s.add_argument("--n-min", type=int, default=4)
     s.add_argument("--n-max", type=int, required=True)
-    s.add_argument("--models", default="nn,all,all+v", help="comma list of nn, all, all+v")
+    s.add_argument("--models", default=",".join(_MODEL_LABELS), help=_MODELS_HELP)
     s.set_defaults(func=_cmd_critical_length)
 
     s = subs.add_parser("region", help="write the creatable-region grid to CSV")

@@ -358,13 +358,10 @@ class CriticalLength:
     """Largest swept length whose transfer probability still reaches a threshold.
 
     ``n_critical`` is None when the threshold is never attained in range.
-    ``monotone_near_crossing`` reports whether r_max_sq is non-increasing on
-    the swept lengths within two steps of the crossing.
     """
 
     model: SweepModel
     n_critical: int | None
-    monotone_near_crossing: bool | None
 
 
 def critical_length(rows: Sequence[SweepRow], threshold: float) -> list[CriticalLength]:
@@ -373,20 +370,9 @@ def critical_length(rows: Sequence[SweepRow], threshold: float) -> list[Critical
     Values within 1e-12 of the threshold count as attained.
     """
     results = []
-    seen: list[SweepModel] = []
-    for row in rows:
-        if row.model not in seen:
-            seen.append(row.model)
-    for model in seen:
-        mrows = sorted((r for r in rows if r.model is model), key=lambda r: r.n)
-        attained = [r.n for r in mrows if r.r_max_sq >= threshold - 1e-12]
-        if not attained:
-            results.append(CriticalLength(model, None, None))
-            continue
-        n_c = max(attained)
-        near = [r for r in mrows if n_c - 2 <= r.n <= n_c + 2]
-        monotone = all(
-            near[i].r_max_sq >= near[i + 1].r_max_sq - 1e-12 for i in range(len(near) - 1)
-        )
-        results.append(CriticalLength(model, n_c, monotone))
+    for model in dict.fromkeys(row.model for row in rows):
+        attained = [
+            r.n for r in rows if r.model is model and r.r_max_sq >= threshold - 1e-12
+        ]
+        results.append(CriticalLength(model, max(attained, default=None)))
     return results

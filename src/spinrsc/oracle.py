@@ -1,9 +1,10 @@
 """Brute-force cross checks: full Hilbert-space evolution and random sampling.
 
-The full-space Hamiltonian is assembled from two-site spin-1/2 operators via
-Kronecker products, with no reference to excitation-number structure, so
-agreement with the spectral-sum amplitudes validates the single-excitation
-reduction end to end.  The sampling maximiser provides an independent lower
+The full-space Hamiltonian is written straight into the bitmask basis of all
+2^N states, with no reference to excitation-number structure, so agreement
+with the spectral-sum amplitudes validates the single-excitation reduction
+end to end.  Its build takes milliseconds at n = 10; the dense ``eigh`` is
+the oracle's cost.  The sampling maximiser provides an independent lower
 bound on the best transfer probability that the SVD route must dominate.
 """
 
@@ -26,27 +27,10 @@ __all__ = [
     "sample_max_transfer",
 ]
 
-# spin-1/2 operators; the y operator is i times _KY, and products of two y
-# factors are real, so the assembled Hamiltonian stays float64
-_SX = np.array([[0.0, 0.5], [0.5, 0.0]])
-_KY = np.array([[0.0, -0.5], [0.5, 0.0]])
-_ID = np.eye(2)
-
 
 def basis_index(node: int) -> int:
     """Computational-basis index of |node>: 0 is the vacuum, node i sets bit i-1."""
     return 0 if node == 0 else 1 << (node - 1)
-
-
-def _two_site(op: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    """Kronecker product placing ``op`` on 0-based bits i and j (i < j)."""
-    factors = [_ID] * n
-    factors[n - 1 - i] = op
-    factors[n - 1 - j] = op
-    out = factors[0]
-    for factor in factors[1:]:
-        out = np.kron(out, factor)
-    return out
 
 
 def full_hamiltonian(model: CouplingModel) -> np.ndarray:
@@ -56,13 +40,15 @@ def full_hamiltonian(model: CouplingModel) -> np.ndarray:
             f"full-space oracle is limited to n <= {MAX_FULL_NODES}, got {model.n}"
         )
     d = build_couplings(model)
-    dim = 1 << model.n
-    h = np.zeros((dim, dim))
+    states = np.arange(1 << model.n)
+    h = np.zeros((states.size, states.size))
     for i in range(model.n):
         for j in range(i + 1, model.n):
-            if d[i, j] == 0.0:
-                continue
-            h += d[i, j] * (_two_site(_SX, i, j, model.n) - _two_site(_KY, i, j, model.n))
+            # S^x S^x + S^y S^y swaps an excitation between bits i and j with
+            # amplitude d_ij / 2; states whose two bits agree get nothing
+            mask = (1 << i) | (1 << j)
+            flip = states[((states >> i) ^ (states >> j)) & 1 == 1]
+            h[flip ^ mask, flip] += d[i, j] / 2
     return h
 
 

@@ -241,8 +241,9 @@ def region_grid(
 class CoverageReport:
     """How densely beta2 fills [0, 1) when phi2 sweeps a full turn.
 
-    ``defined`` is False when the receiver amplitude vanishes at the probed
-    control angles, in which case no phase is defined.
+    ``defined`` is False when the receiver coherence ``f0 g_N*`` vanishes at
+    the probed control angles (no vacuum weight at ``alpha1 = 0``, or no
+    receiver amplitude ``g_N``): every created state then has ``beta2 = 0``.
     """
 
     defined: bool
@@ -270,7 +271,7 @@ def beta2_coverage(
         c = ControlParams(alpha1, alpha2, 0.0, k / phi_samples)
         f = sender_to_f(p, control_to_amplitudes(c))
         g = v0 @ np.array([f.f_nm1, f.f_n])
-        if abs(g[1]) <= 1e-12:
+        if f.f0 == 0.0 or abs(g[1]) <= 1e-12:
             return CoverageReport(defined=False, beta2=None, max_gap=None)
         betas[k] = (cmath.phase(complex(g[1])) / (2.0 * math.pi)) % 1.0
     betas.sort()

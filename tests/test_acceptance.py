@@ -119,7 +119,7 @@ def test_criterion_5_oracle_equivalence_and_sampled_optimality():
     rng = np.random.default_rng(97)
     worst = 0.0
     for kind in Coupling:
-        for n in range(4, 11):
+        for n in range(4, 12):
             model = CouplingModel(kind, n)
             dec = chain_decomposition(model)
             for t in rng.uniform(0.0, 3.0 * n, size=5):
@@ -203,7 +203,7 @@ def test_criterion_7_property_bundle(chain_109):
 
     dec10 = chain_decomposition(CouplingModel(Coupling.ALL_NODE, 10))
     protocol10 = optimal_protocol(dec10, with_v=True)
-    coverage = beta2_coverage(protocol10, dec10, 0.0, 0.9, 100)
+    coverage = beta2_coverage(protocol10, dec10, 0.5, 0.9, 100)
     coverage_ok = coverage.defined and coverage.max_gap <= 0.02
 
     print(f"  conservation={conservation_ok} densities={densities_ok} "

@@ -11,6 +11,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 WORKLOAD_NAMES = [
@@ -62,6 +64,16 @@ def test_benchmark_call_signatures_still_bind():
     inspect.signature(propagate.amplitude_matrix).bind(dec, 1.0)
     inspect.signature(propagate.transition_amplitude).bind(dec, 8, 1, 1.0)
     inspect.signature(oracle.full_transition_amplitude).bind(object(), 8, 1, 1.0)
+    inspect.signature(oracle.full_hamiltonian).bind(object())
     inspect.signature(oracle.sample_max_transfer).bind(
         object(), oracle.TransferMode.EXT_RECEIVER_NORM, 1 << 20, 7
     )
+
+
+def test_full_hamiltonian_returns_the_array_the_build_span_measures():
+    # the benchmark's oracle.build span reads ``result.nbytes``
+    from spinrsc import chain, oracle
+
+    h = oracle.full_hamiltonian(chain.CouplingModel(chain.Coupling.ALL_NODE, 4))
+    assert isinstance(h, np.ndarray)
+    assert h.nbytes == 16 * 16 * 8

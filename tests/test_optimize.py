@@ -397,7 +397,6 @@ def test_high_threshold_critical_lengths():
     assert results[SweepModel.NN].n_critical == 6
     assert results[SweepModel.ALL_NO_V].n_critical == 4
     assert results[SweepModel.ALL_WITH_V].n_critical == 17
-    assert all(c.monotone_near_crossing for c in results.values())
 
     unattainable = critical_length(rows, 1.1)
     assert all(c.n_critical is None for c in unattainable)

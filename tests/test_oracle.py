@@ -12,6 +12,7 @@ from spinrsc import (
     sample_max_transfer,
     transition_amplitude,
 )
+from spinrsc.chain import build_couplings
 from spinrsc.oracle import basis_index
 
 
@@ -29,6 +30,43 @@ def test_full_hamiltonian_conserves_excitation_number():
         assert np.max(np.abs(h - h.T)) == 0.0
         iz = _total_z(5)
         assert np.max(np.abs(h @ iz - iz @ h)) < 1e-10
+
+
+def _kron_hamiltonian(model: CouplingModel) -> np.ndarray:
+    """The chain Hamiltonian as a sum over pairs of d_ij (S^x S^x + S^y S^y).
+
+    Each two-site term is a Kronecker product of 2x2 spin matrices with the
+    identity on every other node (bit i is the i-th factor from the right).
+    S^y is i times ``ky``, so S^y S^y = -ky ky and everything stays real.
+    """
+    sx = np.array([[0.0, 0.5], [0.5, 0.0]])
+    ky = np.array([[0.0, -0.5], [0.5, 0.0]])
+
+    def two_site(op, i, j):
+        factors = [np.eye(2)] * model.n
+        factors[model.n - 1 - i] = op
+        factors[model.n - 1 - j] = op
+        out = factors[0]
+        for factor in factors[1:]:
+            out = np.kron(out, factor)
+        return out
+
+    d = build_couplings(model)
+    h = np.zeros((1 << model.n, 1 << model.n))
+    for i in range(model.n):
+        for j in range(i + 1, model.n):
+            if d[i, j] != 0.0:
+                h += d[i, j] * (two_site(sx, i, j) - two_site(ky, i, j))
+    return h
+
+
+def test_full_hamiltonian_equals_spin_operator_sum():
+    for kind in Coupling:
+        for n in range(4, 8):
+            model = CouplingModel(kind, n)
+            h = full_hamiltonian(model)
+            assert h.dtype == np.float64 and h.shape == (1 << n, 1 << n)
+            assert np.array_equal(h, _kron_hamiltonian(model))
 
 
 def test_full_hamiltonian_size_cap():

@@ -293,13 +293,13 @@ def test_rotation_extends_created_region_between_critical_lengths():
 def test_beta2_coverage_wraps_when_second_amplitude_dominates():
     protocol = _protocol(Coupling.ALL_NODE, 10, True)
     dec = _dec(Coupling.ALL_NODE, 10)
-    report = beta2_coverage(protocol, dec, 0.0, 0.9, 100)
+    report = beta2_coverage(protocol, dec, 0.5, 0.9, 100)
     assert report.defined
     assert np.all((report.beta2 >= 0.0) & (report.beta2 < 1.0))
     assert report.max_gap <= 0.02
 
     # a full turn of phi2 at alpha2 = 1 moves the phase uniformly
-    report = beta2_coverage(protocol, dec, 0.0, 1.0, 100)
+    report = beta2_coverage(protocol, dec, 0.5, 1.0, 100)
     assert report.max_gap <= 0.011
 
 
@@ -308,7 +308,7 @@ def test_beta2_coverage_does_not_wrap_at_balanced_angles():
     # the phase oscillates instead of wrapping; derived by direct sweep
     protocol = _protocol(Coupling.ALL_NODE, 10, True)
     dec = _dec(Coupling.ALL_NODE, 10)
-    report = beta2_coverage(protocol, dec, 0.0, 0.5, 100)
+    report = beta2_coverage(protocol, dec, 0.5, 0.5, 100)
     assert report.defined
     assert report.max_gap > 0.5
 
@@ -317,6 +317,20 @@ def test_beta2_coverage_undefined_without_excitation():
     protocol = _protocol(Coupling.ALL_NODE, 10, True)
     dec = _dec(Coupling.ALL_NODE, 10)
     report = beta2_coverage(protocol, dec, 1.0, 0.3, 16)
+    assert not report.defined
+    assert report.beta2 is None
+    assert report.max_gap is None
+
+
+def test_beta2_coverage_undefined_without_vacuum_weight():
+    # at alpha1 = 0 the coherence f0 g_N* is zero, so every created state
+    # has beta2 = 0 whatever phi2 is
+    protocol = _protocol(Coupling.ALL_NODE, 20, True)
+    dec = _dec(Coupling.ALL_NODE, 20)
+    for k in range(8):
+        _, params = create_state(protocol, dec, ControlParams(0.0, 0.3, 0.0, k / 8))
+        assert params.beta2 == 0.0
+    report = beta2_coverage(protocol, dec, 0.0, 0.3, 8)
     assert not report.defined
     assert report.beta2 is None
     assert report.max_gap is None
