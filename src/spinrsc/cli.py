@@ -8,8 +8,10 @@ identical invocations produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -71,14 +73,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _probability(text: str) -> float:
+    """argparse type: a finite float in [0, 1]."""
+    value = _finite_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
+    return value
+
+
 def _chain(args):
     """Decomposition of the chain named by the ``--model`` and ``--n`` flags."""
     return chain_decomposition(CouplingModel(Coupling(args.model), args.n))
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _write_lines(path: str, lines: Iterable[str]) -> None:
     with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.writelines(line + "\n" for line in lines)
 
 
 def _cmd_hamiltonian(args) -> int:
@@ -147,12 +157,11 @@ def _cmd_region(args) -> int:
     dec = _chain(args)
     protocol = optimal_protocol(dec, with_v=args.with_v)
     rows = region_grid(protocol, dec, args.step)
-    lines = ["alpha1,alpha2,lambda,beta1,beta2"]
-    lines += [
+    lines = (
         f"{_fmt(r.alpha1)},{_fmt(r.alpha2)},{_fmt(r.lam)},{_fmt(r.beta1)},{_fmt(r.beta2)}"
         for r in rows
-    ]
-    _write_lines(args.out, lines)
+    )
+    _write_lines(args.out, itertools.chain(["alpha1,alpha2,lambda,beta1,beta2"], lines))
     return 0
 
 
@@ -227,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_sweep)
 
     s = subs.add_parser("critical-length", help="largest length reaching a threshold")
-    s.add_argument("--threshold", type=_finite_float, required=True)
+    s.add_argument("--threshold", type=_probability, required=True, help="probability in [0, 1]")
     s.add_argument("--n-min", type=int, default=4)
     s.add_argument("--n-max", type=int, required=True)
     s.add_argument("--models", default=",".join(_MODEL_LABELS), help=_MODELS_HELP)

@@ -367,8 +367,11 @@ class CriticalLength:
 def critical_length(rows: Sequence[SweepRow], threshold: float) -> list[CriticalLength]:
     """Per-model critical lengths from sweep rows.
 
-    Values within 1e-12 of the threshold count as attained.
+    Values within 1e-12 of the threshold count as attained.  The threshold
+    is a probability and must lie in [0, 1].
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     results = []
     for model in dict.fromkeys(row.model for row in rows):
         attained = [

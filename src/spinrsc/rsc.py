@@ -5,11 +5,20 @@ at time t0 -> 4x4 extended-receiver density matrix -> receiver-side unitary
 and partial trace over node N-1 -> 2x2 receiver state -> its eigenvalue and
 eigenvector coordinates (lam, beta1, beta2).  Sweeping the control angles on
 a grid maps out the region of receiver states the chain can create.
+
+:func:`create_state` runs the public stage functions for one point.
+:func:`region_grid` and :func:`beta2_coverage` run the same arithmetic on
+arrays of control points (:func:`_create_batch`) and give bit-identical
+results: the BLAS products are the same calls stacked, complex products are
+written out the way CPython rounds them, ``abs`` of a complex number is
+``np.hypot`` (libm ``hypot``, as in CPython), and the other libm calls go
+through CPython's scalar functions (:func:`_scalar`).
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +30,7 @@ from .propagate import FVector, SenderState, amplitude_matrix, sender_to_f
 
 CONSTRAINT_TOL = 1e-9
 UNITARY_TOL = 1e-8
+CHUNK_POINTS = 2048  # region_grid's batch size in points, rounded down to whole alpha1 lines
 
 __all__ = [
     "ControlParams",
@@ -94,6 +104,19 @@ def extended_receiver_density(f: FVector) -> np.ndarray:
     return rho
 
 
+def _rotation(v0: np.ndarray) -> np.ndarray:
+    """The 4x4 rotation ``diag(1, v0, 1)``, after checking that ``v0`` is a 2x2 unitary."""
+    v0 = np.asarray(v0, dtype=complex)
+    if v0.shape != (2, 2):
+        raise ValueError(f"v0 must be 2x2, got {v0.shape}")
+    deviation = float(np.max(np.abs(v0 @ v0.conj().T - np.eye(2))))
+    if deviation > UNITARY_TOL:
+        raise ValueError(f"v0 is not unitary: |v0 v0^+ - 1| = {deviation:.3e}")
+    v = np.eye(4, dtype=complex)
+    v[1:3, 1:3] = v0
+    return v
+
+
 def apply_v_and_reduce(rho_ext: np.ndarray, v0: np.ndarray) -> np.ndarray:
     """Rotate the two receiver nodes by ``v0`` and trace out node N-1.
 
@@ -102,16 +125,9 @@ def apply_v_and_reduce(rho_ext: np.ndarray, v0: np.ndarray) -> np.ndarray:
     the basis (|0>, |N>).
     """
     rho_ext = np.asarray(rho_ext, dtype=complex)
-    v0 = np.asarray(v0, dtype=complex)
     if rho_ext.shape != (4, 4):
         raise ValueError(f"extended-receiver state must be 4x4, got {rho_ext.shape}")
-    if v0.shape != (2, 2):
-        raise ValueError(f"v0 must be 2x2, got {v0.shape}")
-    deviation = float(np.max(np.abs(v0 @ v0.conj().T - np.eye(2))))
-    if deviation > UNITARY_TOL:
-        raise ValueError(f"v0 is not unitary: |v0 v0^+ - 1| = {deviation:.3e}")
-    v = np.eye(4, dtype=complex)
-    v[1:3, 1:3] = v0
+    v = _rotation(v0)
     m = v @ rho_ext @ v.conj().T
     # partial trace over node N-1: basis indices pair as (0,2) no-excitation
     # and (1,3) excited on N-1
@@ -186,6 +202,97 @@ def _create(
     return rho_r, creatable_params(rho_r)
 
 
+def _scalar(fn, *arrays: np.ndarray, dtype: type = float) -> np.ndarray:
+    """``fn`` applied elementwise as the CPython scalar function itself.
+
+    numpy's vectorised power, arctan2 and angle (and on some builds sin and
+    cos) differ from libm or CPython in the last bit; calling the scalar
+    function keeps each element equal to the per-point path's.
+    """
+    return np.frompyfunc(fn, len(arrays), 1)(*arrays).astype(dtype)
+
+
+def _product(ar, ai, br, bi):
+    """Parts of ``(ar + i ai)(br + i bi)``, each product rounded as CPython does.
+
+    numpy's complex multiply may fuse a product into the following add.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex array from its parts, with no arithmetic that could change a signed zero."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _arrivals(p: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vacuum amplitudes ``a0`` and arrival columns ``f = P a``, shapes ``(B,)`` and ``(B, 2, 1)``.
+
+    ``controls`` holds one ``(alpha1, alpha2, phi1, phi2)`` row per point;
+    the arithmetic is that of :func:`control_to_amplitudes` and
+    :func:`sender_to_f`, and ``P a`` is the same BLAS call, stacked.
+    """
+    alpha1, alpha2, phi1, phi2 = controls.T
+    half1 = 0.5 * math.pi * alpha1
+    half2 = 0.5 * math.pi * alpha2
+    cos1 = _scalar(math.cos, half1)
+    two_pi_i = 2j * math.pi
+    exc = np.empty((len(controls), 2), dtype=complex)
+    for col, weight, phi in ((0, math.cos, phi1), (1, math.sin, phi2)):
+        # cmath.exp(2j * math.pi * phi), the product rounded as CPython rounds it
+        arg = _complex(*_product(two_pi_i.real, two_pi_i.imag, phi, 0.0))
+        turn = _scalar(cmath.exp, arg, dtype=complex)
+        amplitude = cos1 * _scalar(weight, half2)
+        exc[:, col] = _complex(*_product(amplitude, 0.0, turn.real, turn.imag))
+    return _scalar(math.sin, half1), np.matmul(p, exc[:, :, None])
+
+
+def _create_batch(
+    p: np.ndarray, v: np.ndarray, controls: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays ``(lam, beta1, beta2)`` for the ``(B, 4)`` control rows.
+
+    ``v`` is the rotation ``diag(1, v0, 1)`` from :func:`_rotation`.  Element
+    for element this is the arithmetic of :func:`_create`, so every value
+    equals :func:`create_state`'s exactly.
+    """
+    a0, f = _arrivals(p, controls)
+    f_nm1, f_n = f[:, 0, 0], f[:, 1, 0]
+    # x ** 2 is libm pow; np.square rounds differently in rare cases
+    sq_nm1 = _scalar(pow, np.hypot(f_nm1.real, f_nm1.imag), 2)
+    sq_n = _scalar(pow, np.hypot(f_n.real, f_n.imag), 2)
+    occupied = sq_nm1 + sq_n
+    total = _scalar(pow, a0, 2) + occupied
+    bad = np.flatnonzero(total > 1.0 + CONSTRAINT_TOL)
+    if bad.size:
+        raise ValueError(
+            "invalid amplitude vector: f0^2 + |f_nm1|^2 + |f_n|^2 = "
+            f"{float(total[bad[0]])!r} exceeds 1"
+        )
+    rho = np.zeros((len(controls), 4, 4), dtype=complex)
+    rho[:, 0, 0] = 1.0 - occupied
+    rho[:, 1, 1] = sq_nm1
+    rho[:, 2, 2] = sq_n
+    for i, j, x, y in ((0, 1, a0, f_nm1), (0, 2, a0, f_n), (1, 2, f_nm1, f_n)):
+        re, im = _product(x.real, x.imag, y.real, -y.imag)  # x conj(y)
+        rho[:, i, j] = _complex(re, im)
+        rho[:, j, i] = _complex(re, -im)
+    m = v @ rho @ v.conj().T
+    off = m[:, 0, 2] + m[:, 1, 3]
+    r_z_sq = (m[:, 2, 2] + m[:, 3, 3]).real
+    abs_off = np.hypot(off.real, off.imag)  # libm hypot, like abs(complex)
+    disc = _scalar(math.hypot, 1.0 - 2.0 * r_z_sq, 2.0 * abs_off)
+    beta1 = _scalar(math.atan2, 2.0 * abs_off, 1.0 - 2.0 * r_z_sq) / math.pi
+    beta2 = np.remainder(-_scalar(cmath.phase, off) / (2.0 * math.pi), 1.0)
+    beta2[off == 0] = 0.0
+    plain = (r_z_sq <= 1e-30) | (disc == 0.0)
+    beta1[plain] = 0.0
+    beta2[plain] = 0.0
+    return 0.5 * (1.0 + disc), beta1, beta2
+
+
 def create_state(
     protocol: OptimalProtocol,
     dec: SpectralDecomposition,
@@ -228,12 +335,15 @@ def region_grid(
     """
     alphas = _grid_values(step)
     p = amplitude_matrix(dec, protocol.t0)
-    v0 = protocol.v0
+    v = _rotation(protocol.v0)
+    per_batch = max(1, CHUNK_POINTS // len(alphas))  # alpha1 values per batch
     rows = []
-    for alpha1 in alphas:
-        for alpha2 in alphas:
-            cp = _create(p, v0, ControlParams(alpha1, alpha2, 0.0, 0.0))[1]
-            rows.append(RegionRow(alpha1, alpha2, cp.lam, cp.beta1, cp.beta2))
+    for lo in range(0, len(alphas), per_batch):
+        chunk = list(itertools.product(alphas[lo : lo + per_batch], alphas))
+        controls = np.zeros((len(chunk), 4))
+        controls[:, :2] = chunk
+        coords = (x.tolist() for x in _create_batch(p, v, controls))
+        rows += map(RegionRow, *zip(*chunk), *coords)
     return rows
 
 
@@ -264,16 +374,17 @@ def beta2_coverage(
     """
     if phi_samples < 1:
         raise ValueError(f"phi_samples must be >= 1, got {phi_samples}")
+    ControlParams(alpha1, alpha2, 0.0, 0.0)  # range check of the fixed angles
     p = amplitude_matrix(dec, protocol.t0)
-    v0 = protocol.v0
-    betas = np.empty(phi_samples)
-    for k in range(phi_samples):
-        c = ControlParams(alpha1, alpha2, 0.0, k / phi_samples)
-        f = sender_to_f(p, control_to_amplitudes(c))
-        g = v0 @ np.array([f.f_nm1, f.f_n])
-        if f.f0 == 0.0 or abs(g[1]) <= 1e-12:
-            return CoverageReport(defined=False, beta2=None, max_gap=None)
-        betas[k] = (cmath.phase(complex(g[1])) / (2.0 * math.pi)) % 1.0
+    controls = np.zeros((phi_samples, 4))
+    controls[:, 0] = alpha1
+    controls[:, 1] = alpha2
+    controls[:, 3] = np.arange(phi_samples) / phi_samples
+    a0, f = _arrivals(p, controls)
+    g = np.matmul(protocol.v0, f)[:, 1, 0]
+    if np.any(a0 == 0.0) or np.any(np.hypot(g.real, g.imag) <= 1e-12):
+        return CoverageReport(defined=False, beta2=None, max_gap=None)
+    betas = np.remainder(_scalar(cmath.phase, g) / (2.0 * math.pi), 1.0)
     betas.sort()
     gaps = np.diff(betas, append=betas[0] + 1.0)
     return CoverageReport(defined=True, beta2=betas, max_gap=float(gaps.max()))

@@ -77,7 +77,7 @@ def test_critical_length_reports_known_values(capsys):
 
 
 def test_critical_length_none_in_range(capsys):
-    assert main(["critical-length", "--threshold", "1.1", "--n-max", "6"]) == 0
+    assert main(["critical-length", "--threshold", "0.9999", "--n-min", "5", "--n-max", "6"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1:] == ["nn,none", "all,none", "all+v,none"]
 
@@ -174,6 +174,12 @@ def test_amplitudes_rejects_non_finite_time(value, capsys):
 def test_critical_length_rejects_nan_threshold(capsys):
     err = _usage_error(["critical-length", "--threshold", "nan", "--n-max", "6"], capsys)
     assert "--threshold: must be a finite number" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "1.1"])
+def test_critical_length_rejects_threshold_outside_unit_interval(value, capsys):
+    err = _usage_error(["critical-length", "--threshold", value, "--n-max", "6"], capsys)
+    assert f"--threshold: must lie in [0, 1], got '{value}'" in err
 
 
 def test_usage_error_exit_code():

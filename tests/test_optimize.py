@@ -398,8 +398,16 @@ def test_high_threshold_critical_lengths():
     assert results[SweepModel.ALL_NO_V].n_critical == 4
     assert results[SweepModel.ALL_WITH_V].n_critical == 17
 
-    unattainable = critical_length(rows, 1.1)
+    # the largest values from n = 5 on are 0.942, 0.899 and 0.997
+    unattainable = critical_length([r for r in rows if r.n >= 5], 0.9999)
     assert all(c.n_critical is None for c in unattainable)
+
+
+@pytest.mark.parametrize("threshold", [-1.0, 1.1, math.nan])
+def test_critical_length_rejects_threshold_outside_unit_interval(threshold):
+    rows = sweep([5], [SweepModel.NN])
+    with pytest.raises(ValueError, match="threshold must lie in"):
+        critical_length(rows, threshold)
 
 
 def test_optimal_sender_certificate_across_sweep():

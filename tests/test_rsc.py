@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,13 @@ def _dec(kind: Coupling, n: int):
 @functools.lru_cache(maxsize=None)
 def _protocol(kind: Coupling, n: int, with_v: bool):
     return optimal_protocol(_dec(kind, n), with_v=with_v)
+
+
+@functools.lru_cache(maxsize=None)
+def _region_109():
+    """The benchmark's grid: n = 109, all-node coupling with v0, step 0.005."""
+    dec = _dec(Coupling.ALL_NODE, 109)
+    return region_grid(_protocol(Coupling.ALL_NODE, 109, True), dec, 0.005)
 
 
 def test_control_angles_map_to_amplitudes():
@@ -265,6 +273,28 @@ def test_region_grid_apex_and_shape():
         assert 0.5 - 1e-12 <= row.lam <= 1.0 + 1e-12
 
 
+def test_region_grid_rows_equal_create_state():
+    # alpha1 = 0.005 holds the ill-conditioned band alpha2 ~ 0.40-0.435
+    # (lam ~ 0.506), where an ulp in rho_r moves beta1 by ~1e-14
+    protocol = _protocol(Coupling.ALL_NODE, 109, True)
+    dec = _dec(Coupling.ALL_NODE, 109)
+    rows = [row for row in _region_109() if row.alpha1 in (0.0, 0.005, 0.5, 1.0)]
+    assert len(rows) == 4 * 201
+    for row in rows:
+        _, cp = create_state(protocol, dec, ControlParams(row.alpha1, row.alpha2, 0.0, 0.0))
+        assert (row.lam, row.beta1, row.beta2) == (cp.lam, cp.beta1, cp.beta2)
+
+
+def test_region_grid_equals_benchmark_reference():
+    reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
+    rows = _region_109()
+    alphas = [min(i * 0.005, 1.0) for i in range(201)]
+    assert [(r.alpha1, r.alpha2) for r in rows] == [(a1, a2) for a1 in alphas for a2 in alphas]
+    with np.load(reference / "region_n109_step0.005.npz") as ref:
+        for field in ("lam", "beta1", "beta2"):
+            assert np.array_equal(np.array([getattr(r, field) for r in rows]), ref[field])
+
+
 def test_region_grid_step_validation():
     protocol = _protocol(Coupling.ALL_NODE, 6, True)
     dec = _dec(Coupling.ALL_NODE, 6)
@@ -334,6 +364,38 @@ def test_beta2_coverage_undefined_without_vacuum_weight():
     assert not report.defined
     assert report.beta2 is None
     assert report.max_gap is None
+
+
+def _scalar_beta2_coverage(protocol, dec, alpha1, alpha2, phi_samples):
+    """The per-point coverage loop, kept as the reference for the batched one."""
+    p = amplitude_matrix(dec, protocol.t0)
+    betas = np.empty(phi_samples)
+    for k in range(phi_samples):
+        c = ControlParams(alpha1, alpha2, 0.0, k / phi_samples)
+        f = sender_to_f(p, control_to_amplitudes(c))
+        g = protocol.v0 @ np.array([f.f_nm1, f.f_n])
+        if f.f0 == 0.0 or abs(g[1]) <= 1e-12:
+            return None
+        betas[k] = (cmath.phase(complex(g[1])) / (2.0 * math.pi)) % 1.0
+    betas.sort()
+    return betas
+
+
+@pytest.mark.parametrize("kind", list(Coupling))
+@pytest.mark.parametrize("with_v", [False, True])
+def test_beta2_coverage_equals_scalar_loop(kind, with_v):
+    protocol = _protocol(kind, 20, with_v)
+    dec = _dec(kind, 20)
+    for alpha1 in (0.0, 0.005, 0.3, 0.7, 1.0):
+        for alpha2 in (0.0, 0.2, 0.5, 1.0):
+            report = beta2_coverage(protocol, dec, alpha1, alpha2, 97)
+            expected = _scalar_beta2_coverage(protocol, dec, alpha1, alpha2, 97)
+            if alpha1 in (0.0, 1.0):  # no vacuum weight, or no excitation
+                assert expected is None
+            if expected is None:
+                assert not report.defined
+            else:
+                assert report.defined and np.array_equal(report.beta2, expected)
 
 
 def test_beta2_coverage_sample_validation():
