@@ -5,6 +5,7 @@ lines.  The sweep and oracle criteria also enforce their runtime budgets.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from spinrsc import (
 
 CRITICAL_HALF = {SweepModel.NN: 34, SweepModel.ALL_NO_V: 37, SweepModel.ALL_WITH_V: 109}
 CRITICAL_NINE_TENTHS = {SweepModel.NN: 6, SweepModel.ALL_NO_V: 4, SweepModel.ALL_WITH_V: 17}
+SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sweep.csv"
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -71,6 +73,14 @@ def test_criterion_2_critical_lengths_at_nine_tenths(full_sweep):
     results = {c.model: c.n_critical for c in critical_length(rows, 0.9)}
     print(f"  critical lengths at 0.9: {({m.value: v for m, v in results.items()})}")
     _report(2, "critical lengths at threshold 0.9", results == CRITICAL_NINE_TENTHS)
+
+
+def test_sweep_rows_equal_the_reference_csv_byte_for_byte(full_sweep):
+    """The fixture's rows, written as the CLI's ``sweep`` lines, are the reference file."""
+    rows, _ = full_sweep
+    lines = ["n,model,t0,r_max_sq"]
+    lines += [f"{r.n},{r.model.value},{r.t0:.17g},{r.r_max_sq:.17g}" for r in rows]
+    assert "".join(line + "\n" for line in lines).encode() == SWEEP_REFERENCE.read_bytes()
 
 
 def test_criterion_3_dominance_monotonicity_linearity(full_sweep):
