@@ -111,11 +111,9 @@ def spectral_decompose(h: np.ndarray) -> SpectralDecomposition:
     if not np.array_equal(h, h.T):
         raise ValueError("hamiltonian must be symmetric")
     energies, vectors = np.linalg.eigh(h)
-    for m in range(vectors.shape[1]):
-        col = vectors[:, m]
-        lead = col[np.argmax(np.abs(col) > 1e-12)]
-        if lead < 0.0:
-            vectors[:, m] = -col
+    columns = np.arange(vectors.shape[1])
+    lead = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), columns]
+    vectors[:, lead < 0.0] *= -1.0
     residual = float(np.max(np.abs(h @ vectors - vectors * energies)))
     if residual > RESIDUAL_TOL:
         raise EigensolverError(

@@ -1,7 +1,7 @@
 """Command-line interface emitting the CSV/JSON artifacts.
 
-Exit codes: 0 on success, 1 on a domain error (invalid physics input), 2 on
-a usage error.  All numeric output is printed with 17 significant digits so
+Exit codes: 0 on success, 1 on a domain error (invalid physics input) or an
+output file that cannot be written, 2 on a usage error.  All numeric output is printed with 17 significant digits so
 identical invocations produce byte-identical artifacts.
 """
 
@@ -268,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpinRscError, ValueError) as exc:
+    except (SpinRscError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

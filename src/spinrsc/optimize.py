@@ -9,12 +9,14 @@ and a scalar search over time locates the first maximum of the protocol
 variant's objective: :func:`lam_plus_sq` with the receiver-side unitary,
 :func:`row_norm_sq` without it.  An objective is a function of a
 ``(2, 2, T)`` stack of P matrices, so one stack on a uniform grid serves
-every objective of a chain in a single coarse scan.
+every objective of a chain in a single coarse scan, and one golden-section
+search refines the scanned brackets of many chains in lock step.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -23,7 +25,7 @@ import numpy as np
 
 from .chain import Coupling, CouplingModel, SpectralDecomposition, chain_decomposition
 from .errors import DegenerateProtocolError, MaximumNotFoundError, SpinRscError
-from .propagate import SenderState, amplitude_grid, amplitude_matrix, amplitude_series
+from .propagate import SenderState, _weights, amplitude_grid, amplitude_matrix, amplitude_series
 
 COARSE_STEP = 0.05
 REFINE_TOL = 1e-8
@@ -171,10 +173,10 @@ def objective_series(dec: SpectralDecomposition, objective: ObjectiveFn, ts) -> 
     return np.asarray(objective(amplitude_series(dec, ts)), dtype=float)
 
 
-def _first_maxima(
+def _brackets(
     dec: SpectralDecomposition, objectives: Sequence[ObjectiveFn]
 ) -> list[tuple[float, float]]:
-    """``(t0, objective(t0))`` per objective, all bracketed by one coarse scan.
+    """Bracket ``(a, b)`` of the first maximum of each objective, all from one coarse scan.
 
     The grid ``COARSE_STEP * k`` over ``[0, 4 n]`` is evaluated in chunks of
     ``SCAN_POINTS_PER_NODE * n`` points, and every objective still without a
@@ -182,8 +184,7 @@ def _first_maxima(
     does not fall below its left neighbour, strictly exceeds its right
     neighbour and rises above ``SIGNIFICANCE_FLOOR``; the surrounding pair of
     grid points brackets the maximum.  The last two values of a chunk carry
-    over, so no hit depends on where the chunks split.  Each bracket is then
-    refined by golden section until it is narrower than ``REFINE_TOL``.
+    over, so no hit depends on where the chunks split.
     """
     step, floor, t_hi = COARSE_STEP, SIGNIFICANCE_FLOOR, 4.0 * dec.n
     total = int(math.floor(t_hi / step + 1e-9)) + 1
@@ -210,35 +211,106 @@ def _first_maxima(
             f"no local maximum of the objective above {floor:g} in the time window "
             f"[0, {t_hi:g}]"
         )
-    return [_refine(dec, objective, *bracket) for objective, bracket in zip(objectives, brackets)]
+    return brackets
 
 
-def _refine(
-    dec: SpectralDecomposition, objective: ObjectiveFn, a: float, b: float
-) -> tuple[float, float]:
-    """Golden-section maximum on [a, b] as ``(t0, objective(t0))``, one time per evaluation."""
+class _RefineRow(NamedTuple):
+    """One golden-section search: a chain's spectrum and P weights, an objective, ``[a, b]``."""
 
-    def fn(t: float) -> float:
-        return objective_series(dec, objective, np.array([t]))[0]
+    energies: np.ndarray
+    weights: np.ndarray
+    objective: ObjectiveFn
+    a: float
+    b: float
+
+
+def _refine_rows(
+    dec: SpectralDecomposition, objectives: Sequence[ObjectiveFn]
+) -> list[_RefineRow]:
+    """The scanned brackets of a chain as refine rows; they keep no eigenvectors."""
+    weights = _weights(dec)
+    return [
+        _RefineRow(dec.energies, weights, objective, a, b)
+        for objective, (a, b) in zip(objectives, _brackets(dec, objectives))
+    ]
+
+
+def _refine(rows: Sequence[_RefineRow]) -> list[tuple[float, float]]:
+    """Golden-section maximum of every row as ``(t0, objective(t0))``, all rows in lock step.
+
+    Each row runs the scalar search: probes ``c < d`` split ``[a, b]`` in the
+    golden ratio, the side of the lower probe is dropped (``[a, d]`` when
+    ``objective(c) > objective(d)``, else ``[c, b]``), and the row stops once
+    its bracket is no wider than ``REFINE_TOL``; its maximum is taken at the
+    bracket midpoint.  A step probes every unfinished row at once: one
+    complex exponential over the concatenated ``E t`` of those rows, then one
+    stacked ``(k, 4, n) @ (k, n, 1)`` product per chain length ``n``, which
+    runs the same BLAS call as a single ``(4, n) @ (n, 1)`` product, so every
+    row gets the bits of its own one-time evaluation.
+    """
+    sizes = np.array([row.energies.shape[0] for row in rows])
+    order = np.argsort(sizes, kind="stable")  # rows of one chain length are adjacent
+    rows = [rows[i] for i in order]
+    sizes = sizes[order]
+    energies = np.concatenate([row.energies for row in rows])
+    groups = []  # (first row, row stop, weights of those rows stacked (k, 4, n))
+    lo = 0
+    for _, members in itertools.groupby(rows, key=lambda row: row.energies.shape[0]):
+        stack = np.stack([row.weights for row in members])
+        groups.append((lo, lo + stack.shape[0], stack))
+        lo += stack.shape[0]
+    starts = [lo for lo, _, _ in groups]
+    objectives = list(dict.fromkeys(row.objective for row in rows))
+    which = np.array([objectives.index(row.objective) for row in rows])
+
+    def probe(active: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        """Objective of each active row at its time in ``ts``, in row order."""
+        et = energies[np.repeat(active, sizes)] * np.repeat(ts[active], sizes[active])
+        phases = np.exp(-1j * et)
+        blocks = []
+        pos = 0
+        counts = np.add.reduceat(active, starts, dtype=int).tolist()
+        for (lo, hi, stack), k in zip(groups, counts):
+            if k:
+                n = stack.shape[2]
+                w = stack if k == hi - lo else stack[active[lo:hi]]
+                blocks.append(w @ phases[pos : pos + k * n].reshape(k, n, 1))
+                pos += k * n
+        ps = np.ascontiguousarray(np.concatenate(blocks).reshape(-1, 4).T).reshape(2, 2, -1)
+        values = np.empty(ps.shape[2])
+        active_which = which[active]
+        for i, objective in enumerate(objectives):
+            mine = active_which == i
+            if mine.any():
+                values[mine] = objective(ps[:, :, mine])
+        return values
 
     inv_phi_sq = 1.0 - _INV_PHI
+    a = np.array([row.a for row in rows])
+    b = np.array([row.b for row in rows])
+    every = np.ones(len(rows), dtype=bool)
     h = b - a
     c = a + inv_phi_sq * h
     d = a + _INV_PHI * h
-    yc, yd = fn(c), fn(d)
-    while h > REFINE_TOL:
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + inv_phi_sq * h
-            yc = fn(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INV_PHI * h
-            yd = fn(d)
+    yc, yd = probe(every, c), probe(every, d)
+    active = h > REFINE_TOL
+    while active.any():
+        left = active & (yc > yd)  # keep [a, d]; the rest of the active rows keep [c, b]
+        right = active & ~left
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        c, d = np.where(right, d, c), np.where(left, c, d)
+        yc, yd = np.where(right, yd, yc), np.where(left, yc, yd)
+        h = b - a
+        c = np.where(left, a + inv_phi_sq * h, c)
+        d = np.where(right, a + _INV_PHI * h, d)
+        y = probe(active, np.where(left, c, d))
+        yc[left] = y[left[active]]
+        yd[right] = y[right[active]]
+        active = h > REFINE_TOL
     t0 = 0.5 * (a + b)
-    return t0, float(fn(t0))
+    back = np.argsort(order)
+    return list(zip(t0[back].tolist(), probe(every, t0)[back].tolist()))
 
 
 def maximize_over_time(dec: SpectralDecomposition, objective: ObjectiveFn) -> tuple[float, float]:
@@ -249,7 +321,7 @@ def maximize_over_time(dec: SpectralDecomposition, objective: ObjectiveFn) -> tu
     section until the bracket is narrower than ``REFINE_TOL``.  Returns
     ``(t0, objective(t0))``.
     """
-    return _first_maxima(dec, [objective])[0]
+    return _refine(_refine_rows(dec, [objective]))[0]
 
 
 @dataclass(frozen=True)
@@ -323,7 +395,9 @@ def sweep(ns: Iterable[int], models: Iterable[SweepModel]) -> list[SweepRow]:
     """One optimised row per (chain length, distinct model), n-major and model-minor.
 
     Models of the same coupling share one decomposition and one coarse scan
-    per chain length: ``all`` and ``all+v`` read the same P stack.
+    per chain length: ``all`` and ``all+v`` read the same P stack.  Only the
+    spectrum and the P weights of each chain outlive its scan, and one
+    lock-step golden-section search then refines the brackets of every row.
     """
     ns = list(ns)
     models = list(dict.fromkeys(models))  # a repeated model gets one row per length
@@ -337,20 +411,22 @@ def sweep(ns: Iterable[int], models: Iterable[SweepModel]) -> list[SweepRow]:
     groups: dict[Coupling, list[SweepModel]] = {}
     for model in models:
         groups.setdefault(model.coupling, []).append(model)
-    rows = []
+    keys: list[tuple[int, SweepModel]] = []
+    searches: list[_RefineRow] = []
     for n in ns:
-        found: dict[SweepModel, SweepRow] = {}
         for coupling, group in groups.items():
             try:
                 dec = chain_decomposition(CouplingModel(coupling, n))
-                maxima = _first_maxima(dec, [model.objective for model in group])
+                searches += _refine_rows(dec, [model.objective for model in group])
             except SpinRscError as exc:
                 labels = ",".join(model.value for model in group)
                 raise type(exc)(f"n={n} model={labels}: {exc}") from exc
-            for model, (t0, value) in zip(group, maxima):
-                found[model] = SweepRow(n=n, model=model, t0=t0, r_max_sq=value)
-        rows += [found[model] for model in models]
-    return rows
+            keys += [(n, model) for model in group]
+    found = {
+        key: SweepRow(n=key[0], model=key[1], t0=t0, r_max_sq=value)
+        for key, (t0, value) in zip(keys, _refine(searches))
+    }
+    return [found[(n, model)] for n in ns for model in models]
 
 
 @dataclass(frozen=True)

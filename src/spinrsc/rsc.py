@@ -306,7 +306,7 @@ def create_state(
     return _create(amplitude_matrix(dec, protocol.t0), protocol.v0, controls)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegionRow:
     alpha1: float
     alpha2: float

@@ -115,6 +115,29 @@ def test_eigenvector_gauge_is_deterministic():
         assert lead > 0.0
 
 
+def _column_loop_gauge(vectors: np.ndarray) -> np.ndarray:
+    """The sign gauge as spectral_decompose applied it column by column before vectorising."""
+    vectors = vectors.copy()
+    for m in range(vectors.shape[1]):
+        col = vectors[:, m]
+        lead = col[np.argmax(np.abs(col) > 1e-12)]
+        if lead < 0.0:
+            vectors[:, m] = -col
+    return vectors
+
+
+def test_vectorised_gauge_equals_column_loop():
+    for kind in Coupling:
+        for n in range(4, 41):
+            h = build_hamiltonian(build_couplings(CouplingModel(kind, n)))
+            vectors = spectral_decompose(h).vectors
+            expected = _column_loop_gauge(np.linalg.eigh(h)[1])
+            assert np.array_equal(vectors.view(np.int64), expected.view(np.int64))
+            for m in range(n):
+                col = vectors[:, m]
+                assert col[np.abs(col) > 1e-12][0] > 0.0
+
+
 def test_spectral_decompose_rejects_asymmetric():
     bad = np.zeros((4, 4))
     bad[0, 1] = 1.0

@@ -144,6 +144,24 @@ def test_sweep_empty_range_is_domain_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--n-min", "4", "--n-max", "5"],
+    ["region", "--n", "6", "--model", "all", "--step", "0.5"],
+])
+def test_unwritable_out_is_an_error_without_traceback(argv, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "spinrsc", *argv, "--out", str(tmp_path / "missing" / "x.csv")],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_critical_length_empty_range_is_domain_error(capsys):
     assert main(["critical-length", "--threshold", "0.5", "--n-min", "9", "--n-max", "5"]) == 1
     captured = capsys.readouterr()

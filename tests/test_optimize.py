@@ -1,5 +1,6 @@
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from spinrsc import (
 )
 from spinrsc import optimize
 from spinrsc.optimize import COARSE_STEP, SIGNIFICANCE_FLOOR
-from spinrsc.propagate import amplitude_grid
+from spinrsc.propagate import _weights, amplitude_grid
 
 
 @functools.lru_cache(maxsize=None)
@@ -369,6 +370,63 @@ def test_scan_result_independent_of_chunk_size(monkeypatch):
     got = [maximize_over_time(_dec(kind, n), objective)
            for kind, n in chains for objective in (lam_plus_sq, row_norm_sq)]
     assert got == expected
+
+
+def _scalar_golden_section(dec, objective, a, b):
+    """The refine as it ran before the lock-step search: one time per evaluation."""
+
+    def fn(t):
+        return objective_series(dec, objective, np.array([t]))[0]
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    inv_phi_sq = 1.0 - inv_phi
+    h = b - a
+    c = a + inv_phi_sq * h
+    d = a + inv_phi * h
+    yc, yd = fn(c), fn(d)
+    while h > optimize.REFINE_TOL:
+        if yc > yd:
+            b, d, yd = d, c, yc
+            h = b - a
+            c = a + inv_phi_sq * h
+            yc = fn(c)
+        else:
+            a, c, yc = c, d, yd
+            h = b - a
+            d = a + inv_phi * h
+            yd = fn(d)
+    t0 = 0.5 * (a + b)
+    return t0, float(fn(t0))
+
+
+def test_lock_step_refine_equals_scalar_golden_section():
+    # Mixed chain lengths, both couplings and both objectives in one batch.
+    # The bracket widths take 34, 29, 10 and 0 golden-section steps, so rows
+    # of one chain length finish at different steps.
+    widths = itertools.cycle([0.1, 0.01, 1e-6, 5e-9])
+    searches = []
+    for n in (4, 9, 37, 61):
+        for kind in Coupling:
+            dec = _dec(kind, n)
+            for objective in (lam_plus_sq, row_norm_sq):
+                a, b = optimize._brackets(dec, [objective])[0]
+                mid, width = 0.5 * (a + b), next(widths)
+                searches.append((dec, objective, mid - 0.5 * width, mid + 0.5 * width))
+    rows = [optimize._RefineRow(dec.energies, _weights(dec), objective, a, b)
+            for dec, objective, a, b in searches]
+    expected = [_scalar_golden_section(*search) for search in searches]
+    assert optimize._refine(rows) == expected
+    assert optimize._refine(rows[::-1]) == expected[::-1]
+
+
+def test_single_search_equals_scalar_golden_section():
+    for kind in Coupling:
+        for n in (4, 17, 34, 37, 109):
+            dec = _dec(kind, n)
+            for objective in (lam_plus_sq, row_norm_sq):
+                a, b = optimize._brackets(dec, [objective])[0]
+                expected = _scalar_golden_section(dec, objective, a, b)
+                assert maximize_over_time(dec, objective) == expected
 
 
 def test_significance_floor_margins():
