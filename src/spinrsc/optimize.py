@@ -242,57 +242,48 @@ def _refine(rows: Sequence[_RefineRow]) -> list[tuple[float, float]]:
     golden ratio, the side of the lower probe is dropped (``[a, d]`` when
     ``objective(c) > objective(d)``, else ``[c, b]``), and the row stops once
     its bracket is no wider than ``REFINE_TOL``; its maximum is taken at the
-    bracket midpoint.  A step probes every unfinished row at once: one
-    complex exponential over the concatenated ``E t`` of those rows, then one
-    stacked ``(k, 4, n) @ (k, n, 1)`` product per chain length ``n``, which
-    runs the same BLAS call as a single ``(4, n) @ (n, 1)`` product, so every
-    row gets the bits of its own one-time evaluation.
+    bracket midpoint.  A step probes every row at once: one complex
+    exponential over the concatenated ``E t`` of all rows, then one stacked
+    ``(k, 4, n) @ (k, n, 1)`` product per run of consecutive rows of chain
+    length ``n``, which runs the same BLAS call as a single ``(4, n) @ (n, 1)``
+    product, so every row gets the bits of its own one-time evaluation.  Only
+    rows still wider than ``REFINE_TOL`` take the probed values.  Probing
+    the finished rows too costs the sweep nothing: every sweep row starts
+    from a ``2 * COARSE_STEP`` bracket, so all of them stop on the same step.
     """
-    sizes = np.array([row.energies.shape[0] for row in rows])
-    order = np.argsort(sizes, kind="stable")  # rows of one chain length are adjacent
-    rows = [rows[i] for i in order]
-    sizes = sizes[order]
     energies = np.concatenate([row.energies for row in rows])
-    groups = []  # (first row, row stop, weights of those rows stacked (k, 4, n))
-    lo = 0
-    for _, members in itertools.groupby(rows, key=lambda row: row.energies.shape[0]):
-        stack = np.stack([row.weights for row in members])
-        groups.append((lo, lo + stack.shape[0], stack))
-        lo += stack.shape[0]
-    starts = [lo for lo, _, _ in groups]
-    objectives = list(dict.fromkeys(row.objective for row in rows))
-    which = np.array([objectives.index(row.objective) for row in rows])
+    owner = np.repeat(np.arange(len(rows)), [row.energies.shape[0] for row in rows])
+    stacks = [
+        np.stack([row.weights for row in run])
+        for _, run in itertools.groupby(rows, key=lambda row: row.energies.shape[0])
+    ]
+    masks = {
+        objective: np.array([row.objective is objective for row in rows])
+        for objective in dict.fromkeys(row.objective for row in rows)
+    }
 
-    def probe(active: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Objective of each active row at its time in ``ts``, in row order."""
-        et = energies[np.repeat(active, sizes)] * np.repeat(ts[active], sizes[active])
-        phases = np.exp(-1j * et)
+    def probe(ts: np.ndarray) -> np.ndarray:
+        """Objective of each row at its time in ``ts``."""
+        phases = np.exp(-1j * (energies * ts[owner]))
         blocks = []
         pos = 0
-        counts = np.add.reduceat(active, starts, dtype=int).tolist()
-        for (lo, hi, stack), k in zip(groups, counts):
-            if k:
-                n = stack.shape[2]
-                w = stack if k == hi - lo else stack[active[lo:hi]]
-                blocks.append(w @ phases[pos : pos + k * n].reshape(k, n, 1))
-                pos += k * n
+        for stack in stacks:
+            k, _, n = stack.shape
+            blocks.append(stack @ phases[pos : pos + k * n].reshape(k, n, 1))
+            pos += k * n
         ps = np.ascontiguousarray(np.concatenate(blocks).reshape(-1, 4).T).reshape(2, 2, -1)
-        values = np.empty(ps.shape[2])
-        active_which = which[active]
-        for i, objective in enumerate(objectives):
-            mine = active_which == i
-            if mine.any():
-                values[mine] = objective(ps[:, :, mine])
+        values = np.empty(len(rows))
+        for objective, mine in masks.items():
+            values[mine] = objective(ps[:, :, mine])
         return values
 
     inv_phi_sq = 1.0 - _INV_PHI
     a = np.array([row.a for row in rows])
     b = np.array([row.b for row in rows])
-    every = np.ones(len(rows), dtype=bool)
     h = b - a
     c = a + inv_phi_sq * h
     d = a + _INV_PHI * h
-    yc, yd = probe(every, c), probe(every, d)
+    yc, yd = probe(c), probe(d)
     active = h > REFINE_TOL
     while active.any():
         left = active & (yc > yd)  # keep [a, d]; the rest of the active rows keep [c, b]
@@ -304,13 +295,12 @@ def _refine(rows: Sequence[_RefineRow]) -> list[tuple[float, float]]:
         h = b - a
         c = np.where(left, a + inv_phi_sq * h, c)
         d = np.where(right, a + _INV_PHI * h, d)
-        y = probe(active, np.where(left, c, d))
-        yc[left] = y[left[active]]
-        yd[right] = y[right[active]]
+        y = probe(np.where(left, c, d))
+        yc = np.where(left, y, yc)
+        yd = np.where(right, y, yd)
         active = h > REFINE_TOL
     t0 = 0.5 * (a + b)
-    back = np.argsort(order)
-    return list(zip(t0[back].tolist(), probe(every, t0)[back].tolist()))
+    return list(zip(t0.tolist(), probe(t0).tolist()))
 
 
 def maximize_over_time(dec: SpectralDecomposition, objective: ObjectiveFn) -> tuple[float, float]:

@@ -7,12 +7,15 @@ eigenvector coordinates (lam, beta1, beta2).  Sweeping the control angles on
 a grid maps out the region of receiver states the chain can create.
 
 :func:`create_state` runs the public stage functions for one point.
-:func:`region_grid` and :func:`beta2_coverage` run the same arithmetic on
-arrays of control points (:func:`_create_batch`) and give bit-identical
-results: the BLAS products are the same calls stacked, complex products are
-written out the way CPython rounds them, ``abs`` of a complex number is
-``np.hypot`` (libm ``hypot``, as in CPython), and the other libm calls go
-through CPython's scalar functions (:func:`_scalar`).
+:func:`region_grid` runs the same arithmetic on arrays of control points
+(:func:`_create_batch`) and gives bit-identical results: the BLAS products
+are the same calls stacked, complex products are written out the way CPython
+rounds them, ``abs`` of a complex number is ``np.hypot`` (libm ``hypot``, as
+in CPython), and the other libm calls go through CPython's scalar functions
+(:func:`_scalar`).  :func:`beta2_coverage` reads ``beta2`` as the phase of
+the receiver amplitude ``g_N``, not as the negated phase of the coherence:
+it equals its per-point loop bit for bit and agrees with
+:func:`create_state` to 1e-12 (the two differ in the last bit at most).
 """
 
 from __future__ import annotations
@@ -193,15 +196,6 @@ def receiver_from_params(params: CreatableParams) -> np.ndarray:
     return u @ np.diag([params.lam, 1.0 - params.lam]) @ u.conj().T
 
 
-def _create(
-    p: np.ndarray, v0: np.ndarray, controls: ControlParams
-) -> tuple[np.ndarray, CreatableParams]:
-    """Receiver state and its coordinates for one control point, given ``P(t0)`` and ``v0``."""
-    f = sender_to_f(p, control_to_amplitudes(controls))
-    rho_r = apply_v_and_reduce(extended_receiver_density(f), v0)
-    return rho_r, creatable_params(rho_r)
-
-
 def _scalar(fn, *arrays: np.ndarray, dtype: type = float) -> np.ndarray:
     """``fn`` applied elementwise as the CPython scalar function itself.
 
@@ -255,8 +249,8 @@ def _create_batch(
     """Arrays ``(lam, beta1, beta2)`` for the ``(B, 4)`` control rows.
 
     ``v`` is the rotation ``diag(1, v0, 1)`` from :func:`_rotation`.  Element
-    for element this is the arithmetic of :func:`_create`, so every value
-    equals :func:`create_state`'s exactly.
+    for element this is the arithmetic of :func:`create_state`, so every value
+    equals that function's exactly.
     """
     a0, f = _arrivals(p, controls)
     f_nm1, f_n = f[:, 0, 0], f[:, 1, 0]
@@ -303,7 +297,9 @@ def create_state(
     Returns the 2x2 receiver density matrix at ``protocol.t0`` (after the
     protocol's receiver-side unitary) together with its coordinates.
     """
-    return _create(amplitude_matrix(dec, protocol.t0), protocol.v0, controls)
+    f = sender_to_f(amplitude_matrix(dec, protocol.t0), control_to_amplitudes(controls))
+    rho_r = apply_v_and_reduce(extended_receiver_density(f), protocol.v0)
+    return rho_r, creatable_params(rho_r)
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,7 +31,6 @@ from spinrsc import (
     sample_max_transfer,
     sender_to_f,
     svd_decompose,
-    sweep,
     transition_amplitude,
 )
 
@@ -43,14 +42,6 @@ SWEEP_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / 
 def _report(number: int, description: str, ok: bool) -> None:
     print(f"ACCEPTANCE {number} [{description}]: {'PASS' if ok else 'FAIL'}")
     assert ok, f"acceptance criterion {number} failed: {description}"
-
-
-@pytest.fixture(scope="module")
-def full_sweep():
-    start = time.perf_counter()
-    rows = sweep(range(4, 131), list(SweepModel))
-    elapsed = time.perf_counter() - start
-    return rows, elapsed
 
 
 @pytest.fixture(scope="module")

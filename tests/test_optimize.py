@@ -417,6 +417,8 @@ def test_lock_step_refine_equals_scalar_golden_section():
     expected = [_scalar_golden_section(*search) for search in searches]
     assert optimize._refine(rows) == expected
     assert optimize._refine(rows[::-1]) == expected[::-1]
+    # rows of one chain length are not adjacent here, so each length has several runs
+    assert optimize._refine(rows[::2] + rows[1::2]) == expected[::2] + expected[1::2]
 
 
 def test_single_search_equals_scalar_golden_section():
@@ -429,11 +431,11 @@ def test_single_search_equals_scalar_golden_section():
                 assert maximize_over_time(dec, objective) == expected
 
 
-def test_significance_floor_margins():
+def test_significance_floor_margins(full_sweep):
     # Over the paper's sweep the floor lies at least 1.5 decades above every
     # coarse-grid local maximum before the accepted one, and every accepted
     # peak at least 2 decades above the floor.
-    rows = sweep(range(4, 131), list(SweepModel))
+    rows, _ = full_sweep
     earlier = 0.0
     for row in rows:
         dec = chain_decomposition(CouplingModel(row.model.coupling, row.n))
