@@ -26,6 +26,18 @@ CASES = {
         for n in (4, 9, 34, 37, 109, 200)
         for with_v in (False, True)
     },
+    **{
+        f"amplitudes_{model}_n{n}_t{t}.json": [
+            "amplitudes", "--n", str(n), "--model", model, "--t", t
+        ]
+        for model in ("nn", "all")
+        for n in (9, 109)
+        for t in ("0", "3.7", "250")
+    },
+    **{
+        f"hamiltonian_{model}_n6.csv": ["hamiltonian", "--n", "6", "--model", model]
+        for model in ("nn", "all")
+    },
     "create_nn_n20.json": ["create", "--n", "20", "--model", "nn", *CONTROLS],
     "create_all_v_n109.json": ["create", "--n", "109", "--model", "all", "--with-v", *CONTROLS],
     "region_nn_n20_step0.02.csv": [
