@@ -4,9 +4,8 @@
 Three variants are compared: nearest-neighbour coupling, all-node coupling
 without the receiver-side rotation, and all-node coupling with it.  Two
 thresholds matter: 0.9 (high-probability transfer) and 0.5 (every receiver
-eigenvalue creatable).  The full-scale run up to n = 130 reproduces the
-critical lengths 34 / 37 / 109 at threshold 0.5 and 6 / 4 / 17 at 0.9; the
-default here stays small to finish in a few seconds.
+eigenvalue creatable).  The default run up to n = 130 reproduces the
+critical lengths 34 / 37 / 109 at threshold 0.5 and 6 / 4 / 17 at 0.9.
 """
 
 import sys
@@ -14,7 +13,7 @@ import sys
 from spinrsc import SweepModel, critical_length, sweep
 
 
-def main(n_max: int = 40):
+def main(n_max: int = 130):
     rows = sweep(range(4, n_max + 1), list(SweepModel))
     print(f"{'n':>4}  " + "  ".join(f"{m.value:>10}" for m in SweepModel))
     by = {(r.model, r.n): r for r in rows}
@@ -27,8 +26,7 @@ def main(n_max: int = 40):
         for result in critical_length(rows, threshold):
             label = "none in range" if result.n_critical is None else result.n_critical
             print(f"  {result.model.value:>6}: {label}")
-    print("\n(run with n_max = 130 to bracket every crossing, ~10 s)")
 
 
 if __name__ == "__main__":
-    main(int(sys.argv[1]) if len(sys.argv) > 1 else 40)
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else 130)

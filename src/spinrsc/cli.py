@@ -31,10 +31,11 @@ __all__ = ["main", "entry"]
 
 _MODEL_LABELS = tuple(model.value for model in SweepModel)
 _MODELS_HELP = f"comma list of {', '.join(_MODEL_LABELS)}"
+_FLOAT = "%.17g"  # every printed float: 17 significant digits round-trip a double
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return _FLOAT % x
 
 
 def _render(obj) -> str:
@@ -43,14 +44,8 @@ def _render(obj) -> str:
         return "{" + ", ".join(f'"{k}": {_render(v)}' for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_render(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
         return _fmt(obj)
-    if isinstance(obj, str):
-        return f'"{obj}"'
     raise TypeError(f"cannot render {type(obj)!r}")
 
 
@@ -157,10 +152,8 @@ def _cmd_region(args) -> int:
     dec = _chain(args)
     protocol = optimal_protocol(dec, with_v=args.with_v)
     rows = region_grid(protocol, dec, args.step)
-    lines = (
-        f"{_fmt(r.alpha1)},{_fmt(r.alpha2)},{_fmt(r.lam)},{_fmt(r.beta1)},{_fmt(r.beta2)}"
-        for r in rows
-    )
+    template = ",".join([_FLOAT] * 5)  # one field per CSV column
+    lines = (template % row for row in rows)
     _write_lines(args.out, itertools.chain(["alpha1,alpha2,lambda,beta1,beta2"], lines))
     return 0
 

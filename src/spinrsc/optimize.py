@@ -36,7 +36,7 @@ REFINE_TOL = 1e-8
 # (n = 130, nn): 2.39 decades above it.  test_significance_floor_margins
 # keeps both margins checked.
 SIGNIFICANCE_FLOOR = 1e-3
-# Coarse-scan points per chunk, per chain node: the first chunk reaches
+# Coarse-scan points per chain node in the first scan stage, which reaches
 # t = 1.6 n, past every first peak of the paper's sweep (t0 <= 1.571 n).
 SCAN_POINTS_PER_NODE = 32
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -178,40 +178,35 @@ def _brackets(
 ) -> list[tuple[float, float]]:
     """Bracket ``(a, b)`` of the first maximum of each objective, all from one coarse scan.
 
-    The grid ``COARSE_STEP * k`` over ``[0, 4 n]`` is evaluated in chunks of
-    ``SCAN_POINTS_PER_NODE * n`` points, and every objective still without a
-    maximum reads the same P stack of a chunk.  A grid point is a hit when it
+    The grid ``COARSE_STEP * k`` over ``[0, 4 n]`` is evaluated from ``k = 0``
+    in at most two stages: the first ``SCAN_POINTS_PER_NODE * n`` points, then,
+    only if some objective still has no maximum there, the whole window.
+    Every objective reads the same P stack.  A grid point is a hit when it
     does not fall below its left neighbour, strictly exceeds its right
     neighbour and rises above ``SIGNIFICANCE_FLOOR``; the surrounding pair of
-    grid points brackets the maximum.  The last two values of a chunk carry
-    over, so no hit depends on where the chunks split.
+    grid points brackets the maximum.  A grid value depends on ``k`` alone,
+    so the first stage is a prefix of the second and no hit depends on the
+    stage that finds it.
     """
     step, floor, t_hi = COARSE_STEP, SIGNIFICANCE_FLOOR, 4.0 * dec.n
     total = int(math.floor(t_hi / step + 1e-9)) + 1
-    chunk = SCAN_POINTS_PER_NODE * dec.n
-    brackets: list[tuple[float, float] | None] = [None] * len(objectives)
-    tails = [np.empty(0)] * len(objectives)
-    start = 0
-    while start < total and None in brackets:
-        stop = min(start + chunk, total)
-        ps = amplitude_grid(dec, 0.0, step, start, stop)
-        for i, objective in enumerate(objectives):
-            if brackets[i] is not None:
-                continue
-            gs = np.concatenate([tails[i], objective(ps)])
+    for count in (SCAN_POINTS_PER_NODE * dec.n, total):
+        ps = amplitude_grid(dec, step, count)
+        brackets = []
+        for objective in objectives:
+            gs = objective(ps)
             left, mid, right = gs[:-2], gs[1:-1], gs[2:]
             hits = np.nonzero((mid >= left) & (mid > right) & (mid > floor))[0]
-            if hits.size:
-                k = start - tails[i].shape[0] + int(hits[0]) + 1
-                brackets[i] = (step * (k - 1), step * (k + 1))
-            tails[i] = gs[-2:]
-        start = stop
-    if None in brackets:
-        raise MaximumNotFoundError(
-            f"no local maximum of the objective above {floor:g} in the time window "
-            f"[0, {t_hi:g}]"
-        )
-    return brackets
+            if not hits.size:
+                break
+            k = int(hits[0]) + 1
+            brackets.append((step * (k - 1), step * (k + 1)))
+        else:
+            return brackets
+    raise MaximumNotFoundError(
+        f"no local maximum of the objective above {floor:g} in the time window "
+        f"[0, {t_hi:g}]"
+    )
 
 
 class _RefineRow(NamedTuple):

@@ -67,32 +67,34 @@ def _weights(dec: SpectralDecomposition) -> np.ndarray:
 def amplitude_series(dec: SpectralDecomposition, ts) -> np.ndarray:
     """The matrix ``P(t)`` for every ``t`` in ``ts``, shape ``(2, 2, len(ts))``.
 
-    Rows are the destinations (N-1, N), columns the sources (1, 2).
+    Rows are the destinations (N-1, N), columns the sources (1, 2).  Each
+    time is its own ``(4, n) @ (n, 1)`` product of the weights and its
+    phases, the call the lock-step refine stacks, so a value depends on its
+    ``t`` alone: a column equals :func:`amplitude_matrix` at that time bit
+    for bit, whatever the other times of the batch.
     """
     w = _weights(dec)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    phases = np.exp(-1j * np.outer(dec.energies, ts))
-    return (w @ phases).reshape(2, 2, ts.shape[0])
+    phases = np.exp(-1j * np.outer(ts, dec.energies))  # (T, n)
+    return np.ascontiguousarray((w @ phases[:, :, None]).T).reshape(2, 2, ts.shape[0])
 
 
-def amplitude_grid(
-    dec: SpectralDecomposition, t_lo: float, step: float, start: int, stop: int
-) -> np.ndarray:
-    """``P(t)`` at ``t = t_lo + step * k`` for ``start <= k < stop``.
+def amplitude_grid(dec: SpectralDecomposition, step: float, count: int) -> np.ndarray:
+    """``P(t)`` at ``t = step * k`` for ``0 <= k < count``, shape ``(2, 2, count)``.
 
-    Same layout as :func:`amplitude_series`, shape ``(2, 2, stop - start)``.
     Grid points come in blocks of ``GRID_BLOCK``, and the phase of point
     ``j`` in block ``b`` factors as
-    ``exp(-i E (t_lo + step (start + GRID_BLOCK b))) * exp(-i E step j)``.
+    ``exp(-i E step GRID_BLOCK b) * exp(-i E step j)``.
     Each block is then one ``(4, n) @ (n, GRID_BLOCK)`` product of the
     weights times the block phase against a single base table, so ``B``
     blocks cost ``n (B + GRID_BLOCK)`` exponentials instead of one per
-    eigenvalue and grid point, and no ``n x T`` phase table is built.
+    eigenvalue and grid point, and no ``n x T`` phase table is built.  A
+    value depends on ``k`` alone, so a shorter grid is a prefix of a longer
+    one bit for bit.
     """
     w = _weights(dec)
-    count = stop - start
     blocks = -(-count // GRID_BLOCK)
-    heads = t_lo + step * (start + GRID_BLOCK * np.arange(blocks))
+    heads = step * (GRID_BLOCK * np.arange(blocks))
     block_phases = np.exp(-1j * np.outer(heads, dec.energies))  # (B, n)
     base = np.exp(-1j * step * np.outer(dec.energies, np.arange(GRID_BLOCK)))  # (n, 64)
     stack = (w * block_phases[:, None, :]) @ base  # (B, 4, GRID_BLOCK)

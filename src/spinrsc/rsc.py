@@ -24,6 +24,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -302,8 +303,7 @@ def create_state(
     return rho_r, creatable_params(rho_r)
 
 
-@dataclass(frozen=True, slots=True)
-class RegionRow:
+class RegionRow(NamedTuple):
     alpha1: float
     alpha2: float
     lam: float

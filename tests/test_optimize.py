@@ -212,7 +212,7 @@ def test_objective_series_row_norm_matches_matrix():
     values = objective_series(dec, row_norm_sq, ts)
     for i, t in enumerate(ts):
         p = amplitude_matrix(dec, t)
-        assert values[i] == pytest.approx(abs(p[1, 0]) ** 2 + abs(p[1, 1]) ** 2, abs=1e-12)
+        assert values[i] == abs(p[1, 0]) ** 2 + abs(p[1, 1]) ** 2
 
 
 def test_largest_singular_value_dominates_row_norm():
@@ -440,7 +440,7 @@ def test_significance_floor_margins(full_sweep):
     for row in rows:
         dec = chain_decomposition(CouplingModel(row.model.coupling, row.n))
         stop = int(row.t0 / COARSE_STEP) + 3  # through the bracket around t0
-        gs = row.model.objective(amplitude_grid(dec, 0.0, COARSE_STEP, 0, stop))
+        gs = row.model.objective(amplitude_grid(dec, COARSE_STEP, stop))
         left, mid, right = gs[:-2], gs[1:-1], gs[2:]
         maxima = mid[(mid >= left) & (mid > right)]
         first = int(np.argmax(maxima > SIGNIFICANCE_FLOOR))

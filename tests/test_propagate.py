@@ -53,12 +53,23 @@ def test_end_to_end_amplitude_matches_analytic_sum():
 @pytest.mark.parametrize("kind", list(Coupling))
 def test_amplitude_grid_matches_series(kind):
     dec = _dec(kind, 23)
-    t_lo, step, start = 1.25, 0.05, 37
-    stop = start + 28 * GRID_BLOCK + 11  # ragged last block, t up to ~92
-    ts = t_lo + step * np.arange(start, stop)
-    grid = amplitude_grid(dec, t_lo, step, start, stop)
-    assert grid.shape == (2, 2, stop - start)
-    assert np.max(np.abs(grid - amplitude_series(dec, ts))) <= 1e-13
+    step, count = 0.05, 28 * GRID_BLOCK + 11  # ragged last block, t up to ~90
+    grid = amplitude_grid(dec, step, count)
+    assert grid.shape == (2, 2, count)
+    assert np.max(np.abs(grid - amplitude_series(dec, step * np.arange(count)))) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", list(Coupling))
+@pytest.mark.parametrize("n", [33, 34])
+def test_amplitude_grid_prefix_is_bit_identical(kind, n):
+    # a grid value depends on k alone, so a shorter grid is a prefix of the full window
+    dec = _dec(kind, n)
+    step = 0.05
+    full = amplitude_grid(dec, step, 80 * n + 1)
+    for count in (1, GRID_BLOCK - 1, 5 * GRID_BLOCK + 7, 32 * n):
+        prefix = amplitude_grid(dec, step, count)
+        assert prefix.shape == (2, 2, count)
+        assert np.array_equal(prefix.view(np.int64), full[:, :, :count].view(np.int64))
 
 
 def test_node_index_out_of_range():
@@ -108,11 +119,14 @@ def test_amplitude_matrix_requires_disjoint_blocks():
 
 
 def test_series_matches_single_time_calls():
-    dec = _dec(Coupling.ALL_NODE, 8)
-    ts = np.array([0.0, 0.5, 2.5, 11.0])
-    series = amplitude_series(dec, ts)
-    for i, t in enumerate(ts):
-        assert np.allclose(series[:, :, i], amplitude_matrix(dec, t), atol=1e-14)
+    # each time is its own (4, n) @ (n, 1) product, so batching changes no bit
+    for kind in Coupling:
+        for n in (4, 9, 33, 109):
+            dec = _dec(kind, n)
+            ts = np.random.default_rng(n).uniform(0.0, 4.0 * n, size=120)
+            series = amplitude_series(dec, ts)
+            single = np.stack([amplitude_matrix(dec, t) for t in ts], axis=-1)
+            assert np.array_equal(series.view(np.int64), single.view(np.int64)), (kind, n)
 
 
 @settings(max_examples=40, deadline=None)
