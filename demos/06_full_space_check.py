@@ -3,12 +3,13 @@
 
 The package computes amplitudes in the (N+1)-dimensional single-excitation
 basis.  Here the same numbers are recomputed in the full 2^N space.  Its
-Hamiltonian is written straight into the bitmask basis of all 2^N states,
-one entry d_ij / 2 for every state pair that swaps an excitation between
-nodes i and j, with no excitation-number shortcut.  The build takes well
-under a millisecond at N = 6; the dense eigendecomposition is the cost.  The
-best sampled transfer probability is then compared against the
-singular-value bound it can never exceed.
+Hamiltonian acts on the bitmask basis of all 2^N states, one element d_ij / 2
+for every state pair that swaps an excitation between nodes i and j, with no
+excitation-number shortcut and no dense matrix.  Lanczos from the source
+state runs until its Krylov space closes, which the small tridiagonal
+eigensolve then evaluates exactly at every time.  The best sampled transfer
+probability is then compared against the singular-value bound it can never
+exceed.
 """
 
 from spinrsc import (

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,32 @@ def test_verify_reports_small_deviation(capsys):
     label, value = out.split()
     assert label == "max_deviation"
     assert float(value) < 1e-10
+
+
+def test_verify_beyond_the_dense_cap(capsys):
+    assert main(["verify", "--n", "13", "--model", "nn", "--t", "4.1"]) == 0
+    label, value = capsys.readouterr().out.split()
+    assert float(value) <= 1e-10
+
+
+def test_verify_rejects_oversized_chain_before_solving():
+    # the cap is checked before the one-excitation eigensolve, which at this
+    # length would ask numpy for tens of GiB
+    root = Path(__file__).resolve().parents[1]
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "spinrsc", "verify", "--n", "100000", "--model", "all", "--t", "1"],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and "n <= 16" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert elapsed < 1.0
 
 
 def test_domain_error_exit_code(capsys):

@@ -361,8 +361,10 @@ def test_sweep_rows_equal_single_model_searches():
         assert (row.t0, row.r_max_sq) == maximize_over_time(dec, row.model.objective)
 
 
-def test_scan_result_independent_of_chunk_size(monkeypatch):
-    # the two values carried between chunks make every split point invisible
+def test_peakless_first_stage_brackets_like_default_scan(monkeypatch):
+    # one point per node ends the first stage before any first peak, so every
+    # bracket comes from the whole-window second stage; a grid value depends
+    # on its index alone, so the brackets and maxima equal the default scan's
     chains = [(kind, n) for kind in Coupling for n in (5, 16, 33)]
     expected = [maximize_over_time(_dec(kind, n), objective)
                 for kind, n in chains for objective in (lam_plus_sq, row_norm_sq)]

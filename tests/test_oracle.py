@@ -13,7 +13,7 @@ from spinrsc import (
     transition_amplitude,
 )
 from spinrsc.chain import build_couplings
-from spinrsc.oracle import basis_index
+from spinrsc.oracle import _apply, _full_spectrum, _pair_flips, basis_index
 
 
 def _total_z(n: int) -> np.ndarray:
@@ -74,6 +74,51 @@ def test_full_hamiltonian_size_cap():
         full_hamiltonian(CouplingModel(Coupling.ALL_NODE, 13))
 
 
+def test_full_amplitude_size_cap():
+    with pytest.raises(ValueError, match="n <= 16"):
+        full_transition_amplitude(CouplingModel(Coupling.NEAREST_NEIGHBOR, 17), 16, 1, 1.0)
+
+
+def test_matrix_free_apply_equals_dense_hamiltonian():
+    rng = np.random.default_rng(5)
+    for kind in Coupling:
+        for n in (4, 7, 9):
+            model = CouplingModel(kind, n)
+            v = rng.standard_normal(1 << n)
+            dense = full_hamiltonian(model) @ v
+            assert np.max(np.abs(_apply(_pair_flips(model), v) - dense)) < 1e-14
+
+
+def test_krylov_eigenpairs_are_eigenpairs_of_the_full_hamiltonian():
+    for kind in Coupling:
+        model = CouplingModel(kind, 9)
+        h = full_hamiltonian(model)
+        spectrum = np.linalg.eigvalsh(h)
+        for j in (0, 1, 2):
+            evals, evecs, weights = _full_spectrum(kind, 9, j)
+            assert np.max(np.abs(h @ evecs - evecs * evals)) < 1e-12
+            assert np.max(np.abs(evecs.T @ evecs - np.eye(evals.size))) < 1e-12
+            assert all(np.min(np.abs(spectrum - e)) < 1e-12 for e in evals)
+            assert np.allclose(evecs[basis_index(j)], weights, rtol=0.0, atol=1e-14)
+
+
+def test_sender_krylov_spaces_close_and_nothing_leaks():
+    # H conserves excitation number; the Lanczos loop observes the closure
+    # as a breakdown and would run on up to 2^N vectors without one
+    for kind in Coupling:
+        for n in (6, 10):
+            excitations = np.array([bin(s).count("1") for s in range(1 << n)])
+            for j in (1, 2):
+                evals, evecs, weights = _full_spectrum(kind, n, j)
+                assert 1 < evecs.shape[1] <= n, (kind, n, j)
+                for t in (0.7, 2.3 * n, 3.0 * n, 250.0):
+                    # the full 2^N vector exp(-i H t)|j>, no sector singled out
+                    psi = evecs @ (weights * np.exp(-1j * evals * t))
+                    assert abs(np.vdot(psi, psi) - 1.0) < 1e-12
+                    leaked = float(np.sum(np.abs(psi[excitations > 1]) ** 2))
+                    assert leaked <= 1e-13, (kind, n, j, t, leaked)
+
+
 def test_basis_index_convention():
     assert basis_index(0) == 0
     assert basis_index(1) == 1
@@ -87,12 +132,16 @@ def test_full_amplitude_identity_at_zero_time():
 
 
 def test_vacuum_is_stationary_in_full_space():
-    model = CouplingModel(Coupling.NEAREST_NEIGHBOR, 4)
-    for t in (0.0, 1.3, 8.0):
-        amp = full_transition_amplitude(model, 0, 0, t)
-        assert abs(amp - 1.0) < 1e-12
-        # and nothing leaks from the vacuum into excited states
-        assert abs(full_transition_amplitude(model, 3, 0, t)) < 1e-12
+    for kind in Coupling:
+        for n in (4, 10, 16):
+            model = CouplingModel(kind, n)
+            # H annihilates the vacuum, so its Krylov space closes at once
+            assert _full_spectrum(kind, n, 0)[1].shape == (1 << n, 1)
+            for t in (0.0, 1.3, 8.0, 3.0 * n):
+                amp = full_transition_amplitude(model, 0, 0, t)
+                assert abs(amp - 1.0) < 1e-12
+                # and nothing leaks from the vacuum into excited states
+                assert abs(full_transition_amplitude(model, n - 1, 0, t)) < 1e-12
 
 
 def test_full_amplitude_node_label_validation():
