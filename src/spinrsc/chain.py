@@ -14,6 +14,7 @@ vacuum carries energy zero and never mixes in, so it is not stored.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,8 @@ def build_hamiltonian(couplings: np.ndarray) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of the chain.
 
-    ``vectors[:, m]`` is the eigenvector belonging to ``energies[m]``.  All
-    time evolution in the package runs through one of these decompositions.
+    ``vectors[:, m]`` is the eigenvector of ``energies[m]``.  All time evolution
+    in the package runs through a decomposition, which owns the P weights too.
     """
 
     energies: np.ndarray
@@ -96,6 +97,19 @@ class SpectralDecomposition:
     @property
     def n(self) -> int:
         return self.energies.shape[0]
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Spectral weights ``v[k, m] v[j, m]`` of the four P entries, shape ``(4, n)``.
+
+        Rows are ``P[0, 0], P[0, 1], P[1, 0], P[1, 1]``: destinations (N-1, N),
+        sources (1, 2).  Read-only, formed on first use and then kept.
+        """
+        if self.n < 4:
+            raise ValueError("sender and extended receiver overlap for n < 4")
+        w = self.vectors[[-2, -2, -1, -1]] * self.vectors[[0, 1, 0, 1]]
+        w.flags.writeable = False
+        return w
 
 
 def spectral_decompose(h: np.ndarray) -> SpectralDecomposition:

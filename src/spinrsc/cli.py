@@ -76,6 +76,12 @@ def _probability(text: str) -> float:
     return value
 
 
+def _require_finite(t: float, values) -> None:
+    """Refuse amplitudes that a phase ``E t`` overflowing at time ``t`` turned into nan."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"time {t!r} is too large: the phases E t overflow")
+
+
 def _chain(args):
     """Decomposition of the chain named by the ``--model`` and ``--n`` flags."""
     return chain_decomposition(CouplingModel(Coupling(args.model), args.n))
@@ -94,15 +100,10 @@ def _cmd_hamiltonian(args) -> int:
 
 
 def _cmd_amplitudes(args) -> int:
-    dec = _chain(args)
-    p = amplitude_matrix(dec, args.t)
-    out = {
-        "p_nm1_1": _pair(complex(p[0, 0])),
-        "p_nm1_2": _pair(complex(p[0, 1])),
-        "p_n_1": _pair(complex(p[1, 0])),
-        "p_n_2": _pair(complex(p[1, 1])),
-    }
-    print(_render(out))
+    p = amplitude_matrix(_chain(args), args.t)
+    _require_finite(args.t, p)
+    names = ("p_nm1_1", "p_nm1_2", "p_n_1", "p_n_2")  # P row-major: (N-1, N) x (1, 2)
+    print(_render({name: _pair(complex(z)) for name, z in zip(names, p.flat)}))
     return 0
 
 
@@ -181,6 +182,7 @@ def _cmd_verify(args) -> int:
     full = [full_transition_amplitude(model, k, j, args.t) for k, j in pairs]
     dec = chain_decomposition(model)
     fast = [transition_amplitude(dec, k, j, args.t) for k, j in pairs]
+    _require_finite(args.t, fast + full)
     deviation = max(abs(a - b) for a, b in zip(fast, full))
     print(f"max_deviation {_fmt(deviation)}")
     return 0

@@ -25,7 +25,7 @@ import numpy as np
 
 from .chain import Coupling, CouplingModel, SpectralDecomposition, chain_decomposition
 from .errors import DegenerateProtocolError, MaximumNotFoundError, SpinRscError
-from .propagate import SenderState, _weights, amplitude_grid, amplitude_matrix, amplitude_series
+from .propagate import SenderState, _p_stack, amplitude_grid, amplitude_matrix, amplitude_series
 
 COARSE_STEP = 0.05
 REFINE_TOL = 1e-8
@@ -223,9 +223,8 @@ def _refine_rows(
     dec: SpectralDecomposition, objectives: Sequence[ObjectiveFn]
 ) -> list[_RefineRow]:
     """The scanned brackets of a chain as refine rows; they keep no eigenvectors."""
-    weights = _weights(dec)
     return [
-        _RefineRow(dec.energies, weights, objective, a, b)
+        _RefineRow(dec.energies, dec.weights, objective, a, b)
         for objective, (a, b) in zip(objectives, _brackets(dec, objectives))
     ]
 
@@ -238,20 +237,23 @@ def _refine(rows: Sequence[_RefineRow]) -> list[tuple[float, float]]:
     ``objective(c) > objective(d)``, else ``[c, b]``), and the row stops once
     its bracket is no wider than ``REFINE_TOL``; its maximum is taken at the
     bracket midpoint.  A step probes every row at once: one complex
-    exponential over the concatenated ``E t`` of all rows, then one stacked
-    ``(k, 4, n) @ (k, n, 1)`` product per run of consecutive rows of chain
-    length ``n``, which runs the same BLAS call as a single ``(4, n) @ (n, 1)``
-    product, so every row gets the bits of its own one-time evaluation.  Only
-    rows still wider than ``REFINE_TOL`` take the probed values.  Probing
-    the finished rows too costs the sweep nothing: every sweep row starts
-    from a ``2 * COARSE_STEP`` bracket, so all of them stop on the same step.
+    exponential over the concatenated ``E t`` of all rows, then the product
+    of :func:`amplitude_matrix` on one ``(k, 4, n)`` weight stack per run of
+    consecutive rows of chain length ``n``, so every row gets the bits of its
+    own one-time evaluation.  Only rows still wider than ``REFINE_TOL`` take
+    the probed values; probing the others too costs the sweep nothing, since
+    every sweep row starts from a ``2 * COARSE_STEP`` bracket and all stop on
+    the same step.
     """
     energies = np.concatenate([row.energies for row in rows])
     owner = np.repeat(np.arange(len(rows)), [row.energies.shape[0] for row in rows])
-    stacks = [
-        np.stack([row.weights for row in run])
-        for _, run in itertools.groupby(rows, key=lambda row: row.energies.shape[0])
-    ]
+    phases = np.empty(energies.shape, dtype=complex)  # refilled by each probe; runs view it
+    runs, pos = [], 0
+    for _, run in itertools.groupby(rows, key=lambda row: row.energies.shape[0]):
+        stack = np.stack([row.weights for row in run])
+        k, _, n = stack.shape
+        runs.append((stack, phases[pos : pos + k * n].reshape(k, n)))
+        pos += k * n
     masks = {
         objective: np.array([row.objective is objective for row in rows])
         for objective in dict.fromkeys(row.objective for row in rows)
@@ -259,14 +261,8 @@ def _refine(rows: Sequence[_RefineRow]) -> list[tuple[float, float]]:
 
     def probe(ts: np.ndarray) -> np.ndarray:
         """Objective of each row at its time in ``ts``."""
-        phases = np.exp(-1j * (energies * ts[owner]))
-        blocks = []
-        pos = 0
-        for stack in stacks:
-            k, _, n = stack.shape
-            blocks.append(stack @ phases[pos : pos + k * n].reshape(k, n, 1))
-            pos += k * n
-        ps = np.ascontiguousarray(np.concatenate(blocks).reshape(-1, 4).T).reshape(2, 2, -1)
+        np.exp(-1j * (energies * ts[owner]), out=phases)
+        ps = _p_stack(runs)
         values = np.empty(len(rows))
         for objective, mine in masks.items():
             values[mine] = objective(ps[:, :, mine])

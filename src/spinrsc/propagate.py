@@ -1,15 +1,15 @@
 """Transition amplitudes and the sender-to-receiver amplitude map.
 
-The amplitude ``p_kj(t) = <k| exp(-i H t) |j>`` is evaluated as a spectral
-sum over the chain eigenpairs, so thousands of time samples reuse a single
-dense eigensolve.  On a uniform time grid the phase factors split into a
-per-block factor times one shared table (:func:`amplitude_grid`), so the
-grid needs far fewer complex exponentials than it has points.  The 2x2
-block from the sender nodes (1, 2) to the extended-receiver nodes (N-1, N)
-is the matrix ``P``; for a sender state with excitation amplitudes
-``(a1, a2)`` the amplitudes arriving at the extended receiver are
-``f = P (a1, a2)^T`` while the vacuum amplitude ``f0`` stays equal to
-``a0``.
+The amplitude ``p_kj(t) = <k| exp(-i H t) |j>`` is a spectral sum over the
+chain eigenpairs, so thousands of time samples reuse a single dense
+eigensolve.  The 2x2 block from the sender nodes (1, 2) to the
+extended-receiver nodes (N-1, N) is the matrix ``P``: a sender state with
+excitation amplitudes ``(a1, a2)`` arrives as ``f = P (a1, a2)^T``, while the
+vacuum amplitude ``f0`` stays equal to ``a0``.  Every single-time ``P`` is
+one ``(4, n) @ (n, 1)`` product of the weights the decomposition owns and
+the phases of that time.  A uniform grid (:func:`amplitude_grid`) factors
+its phases into block heads times one shared table instead, so it needs far
+fewer complex exponentials than it has points.
 """
 
 from __future__ import annotations
@@ -46,64 +46,48 @@ def transition_amplitude(dec: SpectralDecomposition, k: int, j: int, t: float) -
     return complex(np.sum(w * np.exp(-1j * dec.energies * t)))
 
 
-def _weights(dec: SpectralDecomposition) -> np.ndarray:
-    """Spectral weights ``v[k, m] v[j, m]`` of the four P entries, shape ``(4, n)``.
+def _p_stack(runs) -> np.ndarray:
+    """``P`` for every phase row of the ``(weights, phases)`` runs, shape ``(2, 2, T)``.
 
-    Rows are ``P[0, 0], P[0, 1], P[1, 0], P[1, 1]``: destinations (N-1, N),
-    sources (1, 2).
+    A run pairs ``(k, n)`` phases with one ``(4, n)`` weights array or a
+    ``(k, 4, n)`` stack; each row is its own ``(4, n) @ (n, 1)`` product.
     """
-    if dec.n < 4:
-        raise ValueError("sender and extended receiver overlap for n < 4")
-    v = dec.vectors
-    n = dec.n
-    w = np.empty((4, n))
-    w[0] = v[n - 2] * v[0]
-    w[1] = v[n - 2] * v[1]
-    w[2] = v[n - 1] * v[0]
-    w[3] = v[n - 1] * v[1]
-    return w
+    ps = np.concatenate([weights @ phases[:, :, None] for weights, phases in runs])
+    return np.ascontiguousarray(ps.reshape(-1, 4).T).reshape(2, 2, -1)
 
 
 def amplitude_series(dec: SpectralDecomposition, ts) -> np.ndarray:
     """The matrix ``P(t)`` for every ``t`` in ``ts``, shape ``(2, 2, len(ts))``.
 
     Rows are the destinations (N-1, N), columns the sources (1, 2).  Each
-    time is its own ``(4, n) @ (n, 1)`` product of the weights and its
-    phases, the call the lock-step refine stacks, so a value depends on its
-    ``t`` alone: a column equals :func:`amplitude_matrix` at that time bit
-    for bit, whatever the other times of the batch.
+    time makes the product :func:`amplitude_matrix` makes, so a column equals
+    :func:`amplitude_matrix` at that time bit for bit.
     """
-    w = _weights(dec)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    phases = np.exp(-1j * np.outer(ts, dec.energies))  # (T, n)
-    return np.ascontiguousarray((w @ phases[:, :, None]).T).reshape(2, 2, ts.shape[0])
+    return _p_stack([(dec.weights, np.exp(-1j * np.outer(ts, dec.energies)))])
 
 
 def amplitude_grid(dec: SpectralDecomposition, step: float, count: int) -> np.ndarray:
     """``P(t)`` at ``t = step * k`` for ``0 <= k < count``, shape ``(2, 2, count)``.
 
-    Grid points come in blocks of ``GRID_BLOCK``, and the phase of point
-    ``j`` in block ``b`` factors as
-    ``exp(-i E step GRID_BLOCK b) * exp(-i E step j)``.
-    Each block is then one ``(4, n) @ (n, GRID_BLOCK)`` product of the
-    weights times the block phase against a single base table, so ``B``
-    blocks cost ``n (B + GRID_BLOCK)`` exponentials instead of one per
-    eigenvalue and grid point, and no ``n x T`` phase table is built.  A
-    value depends on ``k`` alone, so a shorter grid is a prefix of a longer
-    one bit for bit.
+    Grid points come in blocks of ``GRID_BLOCK``, and the phase of point ``j``
+    in block ``b`` factors as ``exp(-i E step GRID_BLOCK b) * exp(-i E step j)``.
+    Each block is one ``(4, n) @ (n, GRID_BLOCK)`` product of the weights
+    times the block phase against a single base table, so ``B`` blocks cost
+    ``n (B + GRID_BLOCK)`` exponentials instead of one per eigenvalue and grid
+    point, and no ``n x T`` phase table is built.  A value depends on ``k``
+    alone, so a shorter grid is a prefix of a longer one bit for bit.
     """
-    w = _weights(dec)
     blocks = -(-count // GRID_BLOCK)
     heads = step * (GRID_BLOCK * np.arange(blocks))
     block_phases = np.exp(-1j * np.outer(heads, dec.energies))  # (B, n)
     base = np.exp(-1j * step * np.outer(dec.energies, np.arange(GRID_BLOCK)))  # (n, 64)
-    stack = (w * block_phases[:, None, :]) @ base  # (B, 4, GRID_BLOCK)
+    stack = (dec.weights * block_phases[:, None, :]) @ base  # (B, 4, GRID_BLOCK)
     return stack.transpose(1, 0, 2).reshape(2, 2, blocks * GRID_BLOCK)[:, :, :count]
 
 
 def amplitude_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """The 2x2 sender-to-extended-receiver transition matrix at time ``t``."""
-    return amplitude_series(dec, [t])[:, :, 0].copy()
+    return _p_stack([(dec.weights, np.exp(-1j * (t * dec.energies))[None])])[:, :, 0]
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,24 @@ def test_verify_rejects_oversized_chain_before_solving():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("command", ["amplitudes", "verify"])
+def test_overflowing_time_is_an_error_not_nan(command):
+    # 1.7e308 is a finite float, but the phases E t overflow to inf
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "spinrsc", command, "--n", "9", "--model", "all", "--t", "1.7e308"],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=60,
+    )
+    assert result.returncode == 1
+    assert "error: time 1.7e+308" in result.stderr
+    assert "nan" not in result.stdout.lower()
+    assert "Traceback" not in result.stderr
+
+
 def test_domain_error_exit_code(capsys):
     assert main(["hamiltonian", "--n", "3", "--model", "nn"]) == 1
     assert "error" in capsys.readouterr().err

@@ -29,7 +29,7 @@ from spinrsc import (
 )
 from spinrsc import optimize
 from spinrsc.optimize import COARSE_STEP, SIGNIFICANCE_FLOOR
-from spinrsc.propagate import _weights, amplitude_grid
+from spinrsc.propagate import amplitude_grid
 
 
 @functools.lru_cache(maxsize=None)
@@ -414,7 +414,7 @@ def test_lock_step_refine_equals_scalar_golden_section():
                 a, b = optimize._brackets(dec, [objective])[0]
                 mid, width = 0.5 * (a + b), next(widths)
                 searches.append((dec, objective, mid - 0.5 * width, mid + 0.5 * width))
-    rows = [optimize._RefineRow(dec.energies, _weights(dec), objective, a, b)
+    rows = [optimize._RefineRow(dec.energies, dec.weights, objective, a, b)
             for dec, objective, a, b in searches]
     expected = [_scalar_golden_section(*search) for search in searches]
     assert optimize._refine(rows) == expected
@@ -451,6 +451,29 @@ def test_significance_floor_margins(full_sweep):
     smallest_peak = min(row.r_max_sq for row in rows)
     assert math.log10(SIGNIFICANCE_FLOOR / earlier) >= 1.5
     assert math.log10(smallest_peak / SIGNIFICANCE_FLOOR) >= 2.0
+
+
+def test_nn_sweep_rows_match_the_closed_form_chain(full_sweep):
+    # The nearest-neighbour chain has E_m = cos(m pi/(n+1)) and
+    # v_km = sqrt(2/(n+1)) sin(k m pi/(n+1)) (Bose, PRL 91, 207901 (2003)),
+    # so P(t) is rebuilt here without an eigensolver at the paper's lengths.
+    rows, _ = full_sweep
+    checked = [r for r in rows if r.model is SweepModel.NN and r.n in (34, 37, 109, 130)]
+    assert [r.n for r in checked] == [34, 37, 109, 130]
+    for row in checked:
+        angle = np.arange(1, row.n + 1) * math.pi / (row.n + 1)
+        energies = np.cos(angle)
+        modes = {
+            k: math.sqrt(2.0 / (row.n + 1)) * np.sin(k * angle) for k in (1, 2, row.n - 1, row.n)
+        }
+        weights = np.array([modes[k] * modes[j] for k in (row.n - 1, row.n) for j in (1, 2)])
+
+        def closed_form(t):
+            return row_norm_sq((weights @ np.exp(-1j * energies * t)).reshape(2, 2, 1))[0]
+
+        peak = closed_form(row.t0)
+        assert peak == pytest.approx(row.r_max_sq, abs=1e-12), row.n
+        assert closed_form(row.t0 - 1e-4) < peak and closed_form(row.t0 + 1e-4) < peak, row.n
 
 
 def test_high_threshold_critical_lengths():

@@ -13,10 +13,13 @@ from spinrsc import (
     amplitude_matrix,
     amplitude_series,
     chain_decomposition,
+    lam_plus_sq,
+    row_norm_sq,
     sender_to_f,
     spectral_decompose,
     transition_amplitude,
 )
+from spinrsc import optimize
 from spinrsc.oracle import full_transition_amplitude
 from spinrsc.propagate import GRID_BLOCK, amplitude_grid
 
@@ -119,14 +122,27 @@ def test_amplitude_matrix_requires_disjoint_blocks():
 
 
 def test_series_matches_single_time_calls():
-    # each time is its own (4, n) @ (n, 1) product, so batching changes no bit
+    # each time is its own (4, n) @ (n, 1) product of the decomposition's
+    # weights, so batching changes no bit, and the refine probes that product
     for kind in Coupling:
         for n in (4, 9, 33, 109):
             dec = _dec(kind, n)
+            assert dec.weights is dec.weights and not dec.weights.flags.writeable
             ts = np.random.default_rng(n).uniform(0.0, 4.0 * n, size=120)
             series = amplitude_series(dec, ts)
             single = np.stack([amplitude_matrix(dec, t) for t in ts], axis=-1)
             assert np.array_equal(series.view(np.int64), single.view(np.int64)), (kind, n)
+            for objective in (lam_plus_sq, row_norm_sq):
+                # a zero-width bracket returns its probe at t itself; an objective
+                # takes a (2, 2, T) stack (on a bare 2x2, lam_plus_sq's determinant
+                # uses numpy's scalar complex multiply, which rounds differently)
+                rows = [optimize._RefineRow(dec.energies, dec.weights, objective, t, t) for t in ts]
+                t0s, probed = zip(*optimize._refine(rows))
+                direct = [objective(amplitude_matrix(dec, t)[:, :, None])[0] for t in ts]
+                assert list(t0s) == ts.tolist()
+                assert np.array_equal(
+                    np.array(probed).view(np.int64), np.array(direct).view(np.int64)
+                ), (kind, n, objective.__name__)
 
 
 @settings(max_examples=40, deadline=None)
