@@ -76,10 +76,15 @@ def _probability(text: str) -> float:
     return value
 
 
-def _require_finite(t: float, values) -> None:
-    """Refuse amplitudes that a phase ``E t`` overflowing at time ``t`` turned into nan."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"time {t!r} is too large: the phases E t overflow")
+def _check_time(t: float) -> None:
+    """Refuse a time at which a phase ``E t`` could overflow, before computing anything.
+
+    By Gershgorin every eigenvalue lies within half the largest coupling row
+    sum, at most zeta(3) ~ 1.2 for any chain, so a finite ``2 t`` keeps every
+    ``E t`` finite.
+    """
+    if not math.isfinite(2.0 * t):
+        raise ValueError(f"time {t!r} is too large: the phases E t can overflow")
 
 
 def _chain(args):
@@ -100,8 +105,8 @@ def _cmd_hamiltonian(args) -> int:
 
 
 def _cmd_amplitudes(args) -> int:
+    _check_time(args.t)
     p = amplitude_matrix(_chain(args), args.t)
-    _require_finite(args.t, p)
     names = ("p_nm1_1", "p_nm1_2", "p_n_1", "p_n_2")  # P row-major: (N-1, N) x (1, 2)
     print(_render({name: _pair(complex(z)) for name, z in zip(names, p.flat)}))
     return 0
@@ -176,13 +181,13 @@ def _cmd_create(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_time(args.t)
     model = CouplingModel(Coupling(args.model), args.n)
     pairs = [(k, j) for k in (model.n - 1, model.n) for j in (1, 2)]
     # the oracle rejects chains beyond its size cap, so it runs before the eigensolve
     full = [full_transition_amplitude(model, k, j, args.t) for k, j in pairs]
     dec = chain_decomposition(model)
     fast = [transition_amplitude(dec, k, j, args.t) for k, j in pairs]
-    _require_finite(args.t, fast + full)
     deviation = max(abs(a - b) for a, b in zip(fast, full))
     print(f"max_deviation {_fmt(deviation)}")
     return 0

@@ -1,20 +1,22 @@
 """Brute-force cross checks: full Hilbert-space evolution and random sampling.
 
 The full-space Hamiltonian acts on vectors over all 2^N bitmask basis
-states, with no reference to excitation-number structure.  It is a table of
-pair flips: for every coupled pair of nodes, the states whose two bits
-differ, the partner states with the excitation swapped, and the matrix
-element d_ij / 2.  ``full_transition_amplitude`` never forms the 2^N matrix.
-It runs Lanczos from |j> with full reorthogonalisation until the Krylov
-space closes (beta ~ 0), and on that invariant space
-``exp(-i H t)|j> = V S exp(-i Lambda t) S^T e1`` holds exactly for every t.
-H conserves excitation number, so the space of a one-excitation node closes
-within n vectors and the vacuum's at one; the oracle observes that closure
-rather than assuming it, so agreement with the spectral-sum amplitudes
-validates the single-excitation reduction end to end.  ``full_hamiltonian``
-writes the same table into a dense matrix for small n.  The sampling
-maximiser provides an independent lower bound on the best transfer
-probability that the SVD route must dominate.
+states, with no reference to excitation-number structure.  For every
+coupled pair of nodes i < j it swaps an excitation between bits i and j
+with the matrix element d_ij / 2.  ``full_transition_amplitude`` applies
+each such term through strided views of the 2^N vector, with no index
+arrays and without ever forming the 2^N matrix.  It runs Lanczos from |j>
+with full reorthogonalisation until the Krylov space closes (beta ~ 0), and
+on that invariant space ``exp(-i H t)|j> = V S exp(-i Lambda t) S^T e1``
+holds exactly for every t.  H conserves excitation number, so the space of
+a one-excitation node closes within n vectors and the vacuum's at one; the
+oracle observes that closure rather than assuming it, so agreement with the
+spectral-sum amplitudes validates the single-excitation reduction end to
+end.  ``full_hamiltonian`` scatters the same pair terms into a dense matrix
+for small n through flip indices, an independent reference for the strided
+apply.  The sampling maximiser provides an independent lower bound on the
+best transfer probability that the SVD route must dominate; it evaluates
+``|R a|^2 / |a|^2`` as a real quadratic form of the Gaussian draws.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ import numpy as np
 
 from .chain import Coupling, CouplingModel, build_couplings
 
-MAX_FULL_NODES = 16
+MAX_FULL_NODES = 18
 MAX_DENSE_NODES = 12
 # Lanczos stops once the new residual falls below this fraction of |H v|.
-# Closing residuals measure ~1e-31 for n <= 16; the genuine ones stay above 0.04.
+# Closing residuals measure ~1e-31 for n <= 18; the genuine ones stay above 0.04.
 BREAKDOWN_TOL = 1e-12
+BASIS_CHUNK = 32  # Lanczos rows allocated at a time; rows never written cost no memory
+SAMPLE_CHUNK = 1 << 14  # sender vectors drawn and evaluated at a time
 
 __all__ = [
     "TransferMode",
@@ -46,44 +50,49 @@ def basis_index(node: int) -> int:
     return 0 if node == 0 else 1 << (node - 1)
 
 
-def _pair_flips(model: CouplingModel) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """``(flip, flip ^ mask, d_ij / 2)`` for every coupled pair of nodes i < j.
+def _coupled_pairs(model: CouplingModel) -> list[tuple[int, int, float]]:
+    """``(i, j, d_ij / 2)`` for every coupled pair of bits i < j.
 
-    S^x S^x + S^y S^y swaps an excitation between bits i and j with amplitude
-    d_ij / 2; ``flip`` lists the states whose two bits differ, the only ones
-    the term moves, and ``flip ^ mask`` where it moves them.
+    S^x S^x + S^y S^y swaps an excitation between bits i and j with
+    amplitude d_ij / 2 and leaves every other state alone.
     """
     d = build_couplings(model)
-    states = np.arange(1 << model.n)
-    table = []
-    for i in range(model.n):
-        for j in range(i + 1, model.n):
-            if d[i, j] != 0.0:
-                mask = (1 << i) | (1 << j)
-                flip = states[((states >> i) ^ (states >> j)) & 1 == 1]
-                table.append((flip, flip ^ mask, d[i, j] / 2))
-    return table
+    return [
+        (i, j, d[i, j] / 2)
+        for i in range(model.n)
+        for j in range(i + 1, model.n)
+        if d[i, j] != 0.0
+    ]
 
 
 def full_hamiltonian(model: CouplingModel) -> np.ndarray:
-    """Dense 2^N x 2^N chain Hamiltonian: the pair-flip table as a matrix."""
+    """Dense 2^N x 2^N chain Hamiltonian, scattered pair by pair through flip indices."""
     if model.n > MAX_DENSE_NODES:
         raise ValueError(
             f"dense full-space Hamiltonian is limited to n <= {MAX_DENSE_NODES}, got {model.n}"
         )
+    states = np.arange(1 << model.n)
     h = np.zeros((1 << model.n, 1 << model.n))
-    for flip, partner, element in _pair_flips(model):
-        h[partner, flip] += element
+    for i, j, element in _coupled_pairs(model):
+        # the states whose bits i and j differ, the only ones the term moves
+        flip = states[((states >> i) ^ (states >> j)) & 1 == 1]
+        h[flip ^ ((1 << i) | (1 << j)), flip] += element
     return h
 
 
-def _apply(table, v: np.ndarray) -> np.ndarray:
-    """``H v`` for a full 2^N vector, one gather and scatter per pair."""
-    out = np.zeros_like(v)
-    for flip, partner, element in table:
-        # a pair's partners are distinct, so the fancy ``+=`` adds every term
-        out[partner] += element * v[flip]
-    return out
+def _apply(pairs, n: int, v: np.ndarray, out: np.ndarray) -> None:
+    """Write ``H v`` into ``out`` for a full 2^N vector, through strided views.
+
+    Viewed as ``(2^(n-1-j), 2, 2^(j-i-1), 2, 2^i)``, axis 1 is bit j and
+    axis 3 is bit i, so a pair term moves ``[:, 0, :, 1, :]`` (excitation on
+    i) into ``[:, 1, :, 0, :]`` and back.  No index array is formed.
+    """
+    out[:] = 0.0
+    for i, j, element in pairs:
+        shape = (1 << (n - 1 - j), 2, 1 << (j - i - 1), 2, 1 << i)
+        src, dst = v.reshape(shape), out.reshape(shape)
+        dst[:, 1, :, 0, :] += element * src[:, 0, :, 1, :]
+        dst[:, 0, :, 1, :] += element * src[:, 1, :, 0, :]
 
 
 @functools.lru_cache(maxsize=4)
@@ -94,24 +103,32 @@ def _full_spectrum(kind: Coupling, n: int, j: int):
     are eigenvectors of the full H with eigenvalues ``evals``, and
     ``weights`` are their components ``S^T e1`` along |j>.
     """
-    table = _pair_flips(CouplingModel(kind, n))
-    basis = np.zeros((1, 1 << n))  # rows: the orthonormal Lanczos vectors
+    pairs = _coupled_pairs(CouplingModel(kind, n))
+    dim = 1 << n
+    basis = np.zeros((BASIS_CHUNK, dim))  # rows: the orthonormal Lanczos vectors
     basis[0, basis_index(j)] = 1.0
+    w = np.empty(dim)  # the residual of the newest vector
     alphas, betas = [], []
+    k = 1  # Lanczos vectors so far
     while True:
-        w = _apply(table, basis[-1])
+        _apply(pairs, n, basis[k - 1], w)
         scale = np.linalg.norm(w)
-        alphas.append(basis[-1] @ w)
+        alphas.append(basis[k - 1] @ w)
         for _ in range(2):  # full reorthogonalisation, twice
-            w -= (basis @ w) @ basis
+            w -= (basis[:k] @ w) @ basis[:k]
         beta = np.linalg.norm(w)
-        if beta <= BREAKDOWN_TOL * scale or len(basis) == basis.shape[1]:
+        if beta <= BREAKDOWN_TOL * scale or k == dim:
             break
         betas.append(beta)
-        basis = np.vstack([basis, w / beta])
+        if k == len(basis):  # grow by a chunk, leaving the new rows untouched
+            grown = np.zeros((k + BASIS_CHUNK, dim))
+            grown[:k] = basis
+            basis = grown
+        np.divide(w, beta, out=basis[k])
+        k += 1
     tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     evals, s = np.linalg.eigh(tri)
-    return evals, basis.T @ s, s[0]
+    return evals, basis[:k].T @ s, s[0]
 
 
 def full_transition_amplitude(model: CouplingModel, k: int, j: int, t: float) -> complex:
@@ -142,26 +159,41 @@ def sample_max_transfer(
     samples: int,
     seed: int,
 ) -> float:
-    """Best transfer probability over Haar-random unit sender vectors.
+    """Best transfer probability ``|R a|^2`` over Haar-random unit sender vectors.
 
-    Vectors are drawn as pairs of complex Gaussians and normalised; the
-    result is deterministic for a given seed.
+    ``R`` is ``p`` for ``EXT_RECEIVER_NORM`` and its bottom row for
+    ``LAST_NODE_ONLY``; ``p`` must be a finite 2x2 matrix.  A sender
+    ``a = x + i y`` is a pair of complex Gaussians, drawn ``SAMPLE_CHUNK`` at
+    a time from ``numpy.random.default_rng(seed)`` into two reused real
+    buffers, real parts first.  ``|R a|^2 / |a|^2 = a^H M a / |a|^2`` with
+    the Hermitian ``M = R^H R`` is evaluated as a real quadratic form in
+    ``x`` and ``y``, so no complex array is formed and nothing is
+    normalised.  The result is deterministic for a given seed.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     p = np.asarray(p, dtype=complex)
+    if p.shape != (2, 2):
+        raise ValueError(f"p must be a 2x2 matrix, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("p must be finite")
+    r = p if mode is TransferMode.EXT_RECEIVER_NORM else p[1:]
+    m = r.conj().T @ r
+    m00, m11, re01, im01 = m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag
     rng = np.random.default_rng(seed)
+    x, y = np.empty((SAMPLE_CHUNK, 2)), np.empty((SAMPLE_CHUNK, 2))
     best = 0.0
     remaining = samples
     while remaining:
-        m = min(remaining, 1 << 16)
-        a = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
-        f = a @ p.T
-        if mode is TransferMode.LAST_NODE_ONLY:
-            vals = np.abs(f[:, 1]) ** 2
-        else:
-            vals = np.abs(f[:, 0]) ** 2 + np.abs(f[:, 1]) ** 2
+        count = min(remaining, SAMPLE_CHUNK)
+        rng.standard_normal(out=x[:count])
+        rng.standard_normal(out=y[:count])
+        x0, x1, y0, y1 = x[:count, 0], x[:count, 1], y[:count, 0], y[:count, 1]
+        s0 = x0 * x0 + y0 * y0
+        s1 = x1 * x1 + y1 * y1
+        # Re(conj(a0) m01 a1) with conj(a0) a1 = x0 x1 + y0 y1 + i (x0 y1 - y0 x1)
+        cross = re01 * (x0 * x1 + y0 * y1) - im01 * (x0 * y1 - y0 * x1)
+        vals = (m00 * s0 + m11 * s1 + 2.0 * cross) / (s0 + s1)
         best = max(best, float(vals.max()))
-        remaining -= m
+        remaining -= count
     return best

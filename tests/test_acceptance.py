@@ -120,7 +120,7 @@ def test_criterion_5_oracle_equivalence_and_sampled_optimality():
     rng = np.random.default_rng(97)
     worst = 0.0
     for kind in Coupling:
-        for n in range(4, 15):
+        for n in range(4, 17):
             model = CouplingModel(kind, n)
             dec = chain_decomposition(model)
             for t in rng.uniform(0.0, 3.0 * n, size=5):

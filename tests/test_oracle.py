@@ -12,8 +12,9 @@ from spinrsc import (
     sample_max_transfer,
     transition_amplitude,
 )
+from spinrsc import oracle
 from spinrsc.chain import build_couplings
-from spinrsc.oracle import _apply, _full_spectrum, _pair_flips, basis_index
+from spinrsc.oracle import _apply, _coupled_pairs, _full_spectrum, basis_index
 
 
 def _total_z(n: int) -> np.ndarray:
@@ -75,8 +76,27 @@ def test_full_hamiltonian_size_cap():
 
 
 def test_full_amplitude_size_cap():
-    with pytest.raises(ValueError, match="n <= 16"):
-        full_transition_amplitude(CouplingModel(Coupling.NEAREST_NEIGHBOR, 17), 16, 1, 1.0)
+    with pytest.raises(ValueError, match="n <= 18"):
+        full_transition_amplitude(CouplingModel(Coupling.NEAREST_NEIGHBOR, 19), 18, 1, 1.0)
+
+
+def _strided_apply(model: CouplingModel, v: np.ndarray) -> np.ndarray:
+    out = np.empty_like(v)
+    _apply(_coupled_pairs(model), model.n, v, out)
+    return out
+
+
+def _table_apply(model: CouplingModel, v: np.ndarray) -> np.ndarray:
+    """H v by flip indices: gather the states whose bits i and j differ, scatter to partners."""
+    d = build_couplings(model)
+    states = np.arange(1 << model.n)
+    out = np.zeros_like(v)
+    for i in range(model.n):
+        for j in range(i + 1, model.n):
+            if d[i, j] != 0.0:
+                flip = states[((states >> i) ^ (states >> j)) & 1 == 1]
+                out[flip ^ ((1 << i) | (1 << j))] += d[i, j] / 2 * v[flip]
+    return out
 
 
 def test_matrix_free_apply_equals_dense_hamiltonian():
@@ -86,7 +106,30 @@ def test_matrix_free_apply_equals_dense_hamiltonian():
             model = CouplingModel(kind, n)
             v = rng.standard_normal(1 << n)
             dense = full_hamiltonian(model) @ v
-            assert np.max(np.abs(_apply(_pair_flips(model), v) - dense)) < 1e-14
+            assert np.max(np.abs(_strided_apply(model, v) - dense)) < 1e-14
+
+
+def test_strided_apply_equals_table_apply_bit_for_bit():
+    # same products, added into each entry in the same pair order
+    rng = np.random.default_rng(23)
+    for kind in Coupling:
+        for n in (4, 7, 9, 10, 12):
+            model = CouplingModel(kind, n)
+            v = rng.standard_normal(1 << n)
+            strided, table = _strided_apply(model, v), _table_apply(model, v)
+            assert np.array_equal(strided.view(np.int64), table.view(np.int64)), (kind, n)
+
+
+def test_krylov_space_outgrowing_the_first_basis_chunk(monkeypatch):
+    # a one-excitation space fits one chunk; with 3-row chunks it grows three times
+    for kind in Coupling:
+        wide = _full_spectrum.__wrapped__(kind, 12, 1)
+        monkeypatch.setattr(oracle, "BASIS_CHUNK", 3)
+        grown = _full_spectrum.__wrapped__(kind, 12, 1)
+        monkeypatch.undo()
+        assert grown[1].shape == (1 << 12, 12)
+        for a, b in zip(wide, grown):
+            assert np.array_equal(a, b)
 
 
 def test_krylov_eigenpairs_are_eigenpairs_of_the_full_hamiltonian():
@@ -196,6 +239,49 @@ def test_sampling_deterministic_given_seed():
 def test_sampling_validation():
     with pytest.raises(ValueError, match="samples"):
         sample_max_transfer(np.zeros((2, 2)), TransferMode.EXT_RECEIVER_NORM, 0, 0)
+
+
+@pytest.mark.parametrize("p", [np.full((3, 2), 0.1), np.full((2, 3), 0.1), np.full(4, 0.1)])
+def test_sampling_rejects_a_p_that_is_not_2x2(p):
+    for mode in TransferMode:
+        with pytest.raises(ValueError, match="2x2"):
+            sample_max_transfer(p, mode, 100, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.1, np.nan)])
+def test_sampling_rejects_a_p_that_is_not_finite(bad):
+    p = np.full((2, 2), 0.1, dtype=complex)
+    p[1, 0] = bad
+    for mode in TransferMode:
+        with pytest.raises(ValueError, match="finite"):
+            sample_max_transfer(p, mode, 100, 0)
+
+
+def _explicit_sampled_max(p: np.ndarray, mode: TransferMode, samples: int, seed: int) -> float:
+    """``max |R a|^2 / |a|^2`` over the sampler's draws, with complex senders formed."""
+    r = p if mode is TransferMode.EXT_RECEIVER_NORM else p[1:]
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for start in range(0, samples, oracle.SAMPLE_CHUNK):
+        count = min(samples - start, oracle.SAMPLE_CHUNK)
+        real = rng.standard_normal((count, 2))
+        a = real + 1j * rng.standard_normal((count, 2))
+        vals = np.sum(np.abs(a @ r.T) ** 2, axis=1) / np.sum(np.abs(a) ** 2, axis=1)
+        best = max(best, float(vals.max()))
+    return best
+
+
+def test_quadratic_form_equals_explicit_transfer_on_the_same_draws():
+    rng = np.random.default_rng(29)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    u, v = rng.standard_normal(2) + 1j * rng.standard_normal(2), rng.standard_normal(2)
+    rank_one = np.outer(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
+    for p in (g / np.linalg.norm(g, 2), rank_one, np.zeros((2, 2))):
+        for mode in TransferMode:
+            for samples in (1, 1000, 2 * oracle.SAMPLE_CHUNK + 123):
+                got = sample_max_transfer(p, mode, samples, 31)
+                want = _explicit_sampled_max(p, mode, samples, 31)
+                assert abs(got - want) <= 1e-15, (mode, samples, got - want)
 
 
 def test_sampling_never_exceeds_largest_singular_value():
