@@ -1,8 +1,9 @@
 """Command-line interface emitting the CSV/JSON artifacts.
 
-Exit codes: 0 on success, 1 on a domain error (invalid physics input) or an
-output file that cannot be written, 2 on a usage error.  All numeric output is printed with 17 significant digits so
-identical invocations produce byte-identical artifacts.
+Exit codes: 0 on success, 1 on a domain error (invalid physics input), an
+output file that cannot be written or a ``verify`` deviation above
+``VERIFY_TOL``, 2 on a usage error.  All numeric output is printed with 17
+significant digits so identical invocations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = ["main", "entry"]
 _MODEL_LABELS = tuple(model.value for model in SweepModel)
 _MODELS_HELP = f"comma list of {', '.join(_MODEL_LABELS)}"
 _FLOAT = "%.17g"  # every printed float: 17 significant digits round-trip a double
+VERIFY_TOL = 1e-10  # largest amplitude deviation ``verify`` accepts (acceptance criterion 5)
 
 
 def _fmt(x: float) -> str:
@@ -190,6 +192,10 @@ def _cmd_verify(args) -> int:
     fast = [transition_amplitude(dec, k, j, args.t) for k, j in pairs]
     deviation = max(abs(a - b) for a, b in zip(fast, full))
     print(f"max_deviation {_fmt(deviation)}")
+    if not deviation <= VERIFY_TOL:
+        # e.g. at |E t| beyond ~1e14 the eigenvalues' rounding moves every phase
+        print(f"error: deviation exceeds {VERIFY_TOL:g}", file=sys.stderr)
+        return 1
     return 0
 
 

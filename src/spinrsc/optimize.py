@@ -16,6 +16,7 @@ search refines the scanned brackets of many chains in lock step.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ from .propagate import SenderState, _p_stack, amplitude_grid, amplitude_matrix, 
 
 COARSE_STEP = 0.05
 REFINE_TOL = 1e-8
+UNITARY_TOL = 1e-8
 # Smallest objective value accepted as a transfer peak.  Over the paper's
 # sweep n = 4..130 every earlier coarse-grid local maximum is eigensolver
 # noise or a long-range leakage precursor, the largest 1.31e-5 (n = 10,
@@ -73,7 +75,7 @@ class SvdTriple:
     second row of ``v0`` is fixed to the conjugated optimal arrival
     amplitudes divided by their norm, the first row to the orthogonal
     complement ``(f_n, -f_nm1)`` of those amplitudes; this pins the gauge so
-    repeated runs emit identical matrices.
+    repeated runs emit identical matrices.  ``v0`` is read-only.
     """
 
     v0: np.ndarray
@@ -95,6 +97,7 @@ def svd_decompose(p: np.ndarray) -> SvdTriple:
     lam_minus, lam_plus = float(lam[0]), float(lam[1])
     if lam_plus == 0.0:
         eye = np.eye(2, dtype=complex)
+        eye.flags.writeable = False
         return SvdTriple(v0=eye, lam=SingularPair(0.0, 0.0), u=eye)
     if lam_plus - lam_minus <= 1e-13 * lam_plus:
         a_opt = np.array([0.0, 1.0], dtype=complex)
@@ -118,6 +121,7 @@ def svd_decompose(p: np.ndarray) -> SvdTriple:
     if abs(c) > 0.0:
         x1 = x1 * (c.conjugate() / abs(c))
     u = np.vstack([x1.conjugate(), a_opt.conjugate()])
+    v0.flags.writeable = False
     return SvdTriple(v0=v0, lam=SingularPair(lam_minus, lam_plus), u=u)
 
 
@@ -305,17 +309,33 @@ def maximize_over_time(dec: SpectralDecomposition, objective: ObjectiveFn) -> tu
     return _refine(_refine_rows(dec, [objective]))[0]
 
 
+def _rotation(v0: np.ndarray) -> np.ndarray:
+    """Read-only rotation ``diag(1, v0, 1)``, after checking that ``v0`` is a 2x2 unitary."""
+    v0 = np.asarray(v0, dtype=complex)
+    if v0.shape != (2, 2):
+        raise ValueError(f"v0 must be 2x2, got {v0.shape}")
+    deviation = float(np.max(np.abs(v0 @ v0.conj().T - np.eye(2))))
+    if deviation > UNITARY_TOL:
+        raise ValueError(f"v0 is not unitary: |v0 v0^+ - 1| = {deviation:.3e}")
+    v = np.eye(4, dtype=complex)
+    v[1:3, 1:3] = v0
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True)
 class OptimalProtocol:
     """Everything needed to run the creation pipeline at the optimal time.
 
     ``r_max_sq`` is the maximised transfer probability: the largest squared
     singular value of ``P(t0)`` when the receiver-side unitary is used,
-    otherwise the squared norm of the bottom row.
+    otherwise the squared norm of the bottom row.  ``p`` is ``P(t0)`` itself,
+    read-only, so the creation pipeline never recomputes it.
     """
 
     t0: float
     r_max_sq: float
+    p: np.ndarray
     svd: SvdTriple
     a_opt: SenderState
     with_v: bool = True
@@ -324,6 +344,15 @@ class OptimalProtocol:
     def v0(self) -> np.ndarray:
         """Receiver-side unitary: the SVD left factor, or identity when disabled."""
         return self.svd.v0 if self.with_v else np.eye(2, dtype=complex)
+
+    @functools.cached_property
+    def rotation(self) -> np.ndarray:
+        """The extended-receiver rotation ``diag(1, v0, 1)``, read-only.
+
+        ``v0`` is checked for unitarity (``ValueError`` otherwise) once, on
+        first use, and the rotation is then kept.
+        """
+        return _rotation(self.v0)
 
 
 def optimal_protocol(dec: SpectralDecomposition, with_v: bool = True) -> OptimalProtocol:
@@ -336,6 +365,7 @@ def optimal_protocol(dec: SpectralDecomposition, with_v: bool = True) -> Optimal
     """
     t0, value = maximize_over_time(dec, _objective(with_v))
     p = amplitude_matrix(dec, t0)
+    p.flags.writeable = False
     svd = svd_decompose(p)
     if with_v:
         a_opt = optimal_sender_state(svd)
@@ -345,7 +375,7 @@ def optimal_protocol(dec: SpectralDecomposition, with_v: bool = True) -> Optimal
         if nrm == 0.0:
             raise DegenerateProtocolError("no excitation reaches the receiver node")
         a_opt = SenderState(a0=0.0, a1=complex(row[0] / nrm), a2=complex(row[1] / nrm))
-    return OptimalProtocol(t0=t0, r_max_sq=value, svd=svd, a_opt=a_opt, with_v=with_v)
+    return OptimalProtocol(t0=t0, r_max_sq=value, p=p, svd=svd, a_opt=a_opt, with_v=with_v)
 
 
 class SweepModel(enum.Enum):

@@ -6,7 +6,12 @@ and partial trace over node N-1 -> 2x2 receiver state -> its eigenvalue and
 eigenvector coordinates (lam, beta1, beta2).  Sweeping the control angles on
 a grid maps out the region of receiver states the chain can create.
 
-:func:`create_state` runs the public stage functions for one point.
+The protocol owns ``P(t0)`` and the rotation ``diag(1, v0, 1)``, whose
+unitarity it checks once (:class:`~spinrsc.optimize.OptimalProtocol`), so
+no creation function recomputes either; their ``dec`` argument is unused
+and stays only for their callers.  :func:`create_state` runs the public
+stage functions for one point and reduces through :func:`_reduce`, as
+:func:`apply_v_and_reduce` does after checking its ``v0``.
 :func:`region_grid` runs the same arithmetic on arrays of control points
 (:func:`_create_batch`) and gives bit-identical results: the BLAS products
 are the same calls stacked, complex products are written out the way CPython
@@ -29,11 +34,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import SpectralDecomposition
-from .optimize import OptimalProtocol
-from .propagate import FVector, SenderState, amplitude_matrix, sender_to_f
+from .optimize import OptimalProtocol, _rotation
+# bench/spans.py wraps rsc.amplitude_matrix, so the name stays importable here
+from .propagate import FVector, SenderState, amplitude_matrix, sender_to_f  # noqa: F401
 
 CONSTRAINT_TOL = 1e-9
-UNITARY_TOL = 1e-8
 CHUNK_POINTS = 2048  # region_grid's batch size in points, rounded down to whole alpha1 lines
 
 __all__ = [
@@ -108,19 +113,6 @@ def extended_receiver_density(f: FVector) -> np.ndarray:
     return rho
 
 
-def _rotation(v0: np.ndarray) -> np.ndarray:
-    """The 4x4 rotation ``diag(1, v0, 1)``, after checking that ``v0`` is a 2x2 unitary."""
-    v0 = np.asarray(v0, dtype=complex)
-    if v0.shape != (2, 2):
-        raise ValueError(f"v0 must be 2x2, got {v0.shape}")
-    deviation = float(np.max(np.abs(v0 @ v0.conj().T - np.eye(2))))
-    if deviation > UNITARY_TOL:
-        raise ValueError(f"v0 is not unitary: |v0 v0^+ - 1| = {deviation:.3e}")
-    v = np.eye(4, dtype=complex)
-    v[1:3, 1:3] = v0
-    return v
-
-
 def apply_v_and_reduce(rho_ext: np.ndarray, v0: np.ndarray) -> np.ndarray:
     """Rotate the two receiver nodes by ``v0`` and trace out node N-1.
 
@@ -131,7 +123,11 @@ def apply_v_and_reduce(rho_ext: np.ndarray, v0: np.ndarray) -> np.ndarray:
     rho_ext = np.asarray(rho_ext, dtype=complex)
     if rho_ext.shape != (4, 4):
         raise ValueError(f"extended-receiver state must be 4x4, got {rho_ext.shape}")
-    v = _rotation(v0)
+    return _reduce(rho_ext, _rotation(v0))
+
+
+def _reduce(rho_ext: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Partial trace over node N-1 of ``v rho_ext v^+``, for a checked rotation ``v``."""
     m = v @ rho_ext @ v.conj().T
     # partial trace over node N-1: basis indices pair as (0,2) no-excitation
     # and (1,3) excited on N-1
@@ -200,11 +196,14 @@ def receiver_from_params(params: CreatableParams) -> np.ndarray:
 def _scalar(fn, *arrays: np.ndarray, dtype: type = float) -> np.ndarray:
     """``fn`` applied elementwise as the CPython scalar function itself.
 
+    Each argument is a 1-D array or a scalar that every call receives.
+
     numpy's vectorised power, arctan2 and angle (and on some builds sin and
     cos) differ from libm or CPython in the last bit; calling the scalar
     function keeps each element equal to the per-point path's.
     """
-    return np.frompyfunc(fn, len(arrays), 1)(*arrays).astype(dtype)
+    columns = (a.tolist() if np.ndim(a) else itertools.repeat(a) for a in arrays)
+    return np.fromiter(map(fn, *columns), dtype, count=np.broadcast(*arrays).size)
 
 
 def _product(ar, ai, br, bi):
@@ -249,7 +248,7 @@ def _create_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrays ``(lam, beta1, beta2)`` for the ``(B, 4)`` control rows.
 
-    ``v`` is the rotation ``diag(1, v0, 1)`` from :func:`_rotation`.  Element
+    ``v`` is the protocol's checked rotation ``diag(1, v0, 1)``.  Element
     for element this is the arithmetic of :func:`create_state`, so every value
     equals that function's exactly.
     """
@@ -296,10 +295,11 @@ def create_state(
     """Run the full creation pipeline for one set of control parameters.
 
     Returns the 2x2 receiver density matrix at ``protocol.t0`` (after the
-    protocol's receiver-side unitary) together with its coordinates.
+    protocol's receiver-side unitary) together with its coordinates.  It
+    reads the protocol's ``P(t0)`` and checked rotation; ``dec`` is unused.
     """
-    f = sender_to_f(amplitude_matrix(dec, protocol.t0), control_to_amplitudes(controls))
-    rho_r = apply_v_and_reduce(extended_receiver_density(f), protocol.v0)
+    f = sender_to_f(protocol.p, control_to_amplitudes(controls))
+    rho_r = _reduce(extended_receiver_density(f), protocol.rotation)
     return rho_r, creatable_params(rho_r)
 
 
@@ -323,15 +323,14 @@ def region_grid(
     dec: SpectralDecomposition,
     step: float,
 ) -> list[RegionRow]:
-    """Creatable coordinates over the uniform (alpha1, alpha2) grid.
+    """Creatable coordinates over the uniform (alpha1, alpha2) grid; ``dec`` is unused.
 
     Both phases are held at zero, since beta2 decouples from the
     (lam, beta1) map and is tuned separately through phi2.  Rows are ordered
     alpha1-major, alpha2-minor, both ascending.
     """
     alphas = _grid_values(step)
-    p = amplitude_matrix(dec, protocol.t0)
-    v = _rotation(protocol.v0)
+    p, v = protocol.p, protocol.rotation
     per_batch = max(1, CHUNK_POINTS // len(alphas))  # alpha1 values per batch
     rows = []
     for lo in range(0, len(alphas), per_batch):
@@ -364,20 +363,19 @@ def beta2_coverage(
     alpha2: float,
     phi_samples: int,
 ) -> CoverageReport:
-    """Sweep phi2 over [0, 1) at phi1 = 0 and report the beta2 coverage.
+    """Sweep phi2 over [0, 1) at phi1 = 0 and report the beta2 coverage; ``dec`` is unused.
 
     ``max_gap`` is the largest circular gap between sorted beta2 values.
     """
     if phi_samples < 1:
         raise ValueError(f"phi_samples must be >= 1, got {phi_samples}")
     ControlParams(alpha1, alpha2, 0.0, 0.0)  # range check of the fixed angles
-    p = amplitude_matrix(dec, protocol.t0)
     controls = np.zeros((phi_samples, 4))
     controls[:, 0] = alpha1
     controls[:, 1] = alpha2
     controls[:, 3] = np.arange(phi_samples) / phi_samples
-    a0, f = _arrivals(p, controls)
-    g = np.matmul(protocol.v0, f)[:, 1, 0]
+    a0, f = _arrivals(protocol.p, controls)
+    g = np.matmul(protocol.rotation[1:3, 1:3], f)[:, 1, 0]  # v0, checked for unitarity
     if np.any(a0 == 0.0) or np.any(np.hypot(g.real, g.imag) <= 1e-12):
         return CoverageReport(defined=False, beta2=None, max_gap=None)
     betas = np.remainder(_scalar(cmath.phase, g) / (2.0 * math.pi), 1.0)

@@ -180,6 +180,26 @@ def test_overflowing_time_is_an_error_not_nan(command):
     assert "nan" not in result.stdout.lower()
 
 
+def test_verify_fails_when_the_deviation_exceeds_the_gate():
+    # at |E t| ~ 1e15 the eigenvalues' rounding moves every phase by ~0.1 rad,
+    # so the one-excitation amplitudes no longer match the oracle
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "spinrsc", "verify", "--n", "9", "--model", "all", "--t", "1e15"],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=60,
+    )
+    assert result.returncode == 1
+    label, value = result.stdout.split()
+    assert label == "max_deviation" and float(value) > 1e-10
+    assert result.stderr.startswith("error: deviation exceeds 1e-10")
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr
+
+
 def test_domain_error_exit_code(capsys):
     assert main(["hamiltonian", "--n", "3", "--model", "nn"]) == 1
     assert "error" in capsys.readouterr().err

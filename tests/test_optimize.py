@@ -528,3 +528,77 @@ def test_protocol_fields_consistent():
     # the no-V sender state maximises the receiver-node probability
     f_n = (p @ no_v.a_opt.excitation)[1]
     assert abs(f_n) ** 2 == pytest.approx(no_v.r_max_sq, abs=1e-10)
+
+
+def test_protocol_owns_p_and_a_checked_read_only_rotation():
+    for kind, n, with_v in ((Coupling.ALL_NODE, 12, True), (Coupling.ALL_NODE, 12, False),
+                            (Coupling.NEAREST_NEIGHBOR, 9, True)):
+        dec = _dec(kind, n)
+        protocol = optimal_protocol(dec, with_v=with_v)
+        expected = amplitude_matrix(dec, protocol.t0)
+        assert np.array_equal(protocol.p.view(np.int64), expected.view(np.int64))
+        rotation = protocol.rotation
+        assert rotation is protocol.rotation  # built and checked once
+        block = np.eye(4, dtype=complex)
+        block[1:3, 1:3] = protocol.v0
+        assert np.array_equal(rotation, block)
+        for array in (protocol.p, rotation, protocol.svd.v0):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+
+def test_svd_v0_is_read_only_in_the_degenerate_case_too():
+    assert not svd_decompose(np.zeros((2, 2))).v0.flags.writeable
+
+
+def _taylor_step(h: np.ndarray, psi: np.ndarray, dt: float, terms: int = 40) -> np.ndarray:
+    """``exp(-i H dt) psi`` by its Taylor series, at most ``terms`` terms.
+
+    The series stops early once a term has no entry above 1e-17, far below
+    the rounding of the unit-norm columns (Al-Mohy & Higham's early exit).
+    """
+    term, total = psi, psi.copy()
+    for k in range(1, terms + 1):
+        term = (-1j * dt / k) * (h @ term)
+        total += term
+        if np.max(np.abs(term)) <= 1e-17:
+            break
+    return total
+
+
+def _taylor_sender_columns(h: np.ndarray, t: float, piece: float = 0.5) -> np.ndarray:
+    """``exp(-i H t)`` on the sender columns e_1, e_2, in steps no longer than ``piece``."""
+    psi = np.zeros((h.shape[0], 2), dtype=complex)
+    psi[0, 0] = psi[1, 1] = 1.0
+    steps = max(1, math.ceil(t / piece))
+    for _ in range(steps):
+        psi = _taylor_step(h, psi, t / steps)
+    return psi
+
+
+def test_all_node_protocols_match_a_taylor_propagator():
+    # An eigensolver-free P(t0) for the all-node rows at the paper's lengths:
+    # exp(-i H t) is stepped in pieces of at most 0.5, where ||H dt|| <= 0.6
+    # and 40 Taylor terms would leave a truncation error below 1e-40
+    # (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)).  Both variants
+    # share the propagation up to the earlier of their two times.
+    for n in (34, 37, 109, 130):
+        idx = np.arange(n, dtype=float)
+        dist = np.abs(idx[:, None] - idx[None, :])
+        h = np.zeros((n, n), dtype=complex)
+        h[dist > 0] = 0.5 * dist[dist > 0] ** -3.0
+        dec = _dec(Coupling.ALL_NODE, n)
+        protocols = {
+            objective: optimal_protocol(dec, with_v=with_v)
+            for with_v, objective in ((False, row_norm_sq), (True, lam_plus_sq))
+        }
+        start = min(protocol.t0 for protocol in protocols.values())
+        psi = _taylor_sender_columns(h, start)
+        for objective, protocol in protocols.items():
+            offset = protocol.t0 - start
+            ps = [_taylor_step(h, psi, offset + dt)[[-2, -1]] for dt in (-1e-4, 0.0, 1e-4)]
+            assert np.max(np.abs(ps[1] - protocol.p)) <= 1e-12, (n, objective)
+            before, peak, after = objective(np.stack(ps, axis=-1))
+            assert peak == pytest.approx(protocol.r_max_sq, abs=1e-12), (n, objective)
+            assert before < peak and after < peak, (n, objective)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import math
 from pathlib import Path
@@ -27,6 +28,7 @@ from spinrsc import (
     region_grid,
     sender_to_f,
 )
+from spinrsc import rsc
 
 
 @functools.lru_cache(maxsize=None)
@@ -435,3 +437,73 @@ def test_receiver_from_params_is_density_matrix():
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     eigs = np.sort(np.linalg.eigvalsh(rho))
     assert eigs[1] == pytest.approx(0.8, abs=1e-12)
+
+
+def _old_create_state(protocol, dec, controls):
+    """The per-point path before the protocol owned P(t0) and its rotation, inlined."""
+    f = sender_to_f(amplitude_matrix(dec, protocol.t0), control_to_amplitudes(controls))
+    v0 = np.asarray(protocol.v0, dtype=complex)
+    assert float(np.max(np.abs(v0 @ v0.conj().T - np.eye(2)))) <= 1e-8
+    v = np.eye(4, dtype=complex)
+    v[1:3, 1:3] = v0
+    m = v @ extended_receiver_density(f) @ v.conj().T
+    rho_r = np.array(
+        [
+            [m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]],
+            [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]],
+        ]
+    )
+    return rho_r, creatable_params(rho_r)
+
+
+def _bits(states):
+    """int64 view of every ``(rho, params)`` pair, for bit-for-bit comparison."""
+    rhos = np.array([rho for rho, _ in states])
+    params = np.array([(cp.lam, cp.beta1, cp.beta2) for _, cp in states])
+    return rhos.view(np.int64), params.view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "kind, n, with_v",
+    [(Coupling.ALL_NODE, 109, True), (Coupling.ALL_NODE, 37, False),
+     (Coupling.NEAREST_NEIGHBOR, 20, False)],
+)
+def test_create_state_equals_the_old_per_point_path(kind, n, with_v):
+    protocol, dec = _protocol(kind, n, with_v), _dec(kind, n)
+    rng = np.random.default_rng([n, with_v])
+    points = rng.uniform(0.0, 1.0, size=(5000, 4))
+    edges = rng.uniform(0.0, 1.0, size=(40, 4))
+    edges[:, 0] = np.repeat([0.0, 1.0], 20)  # no excitation weight, or no vacuum weight
+    controls = [ControlParams(*map(float, row)) for row in np.vstack([points, edges])]
+    new = _bits([create_state(protocol, dec, c) for c in controls])
+    old = _bits([_old_create_state(protocol, dec, c) for c in controls])
+    assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1])
+
+
+def test_creation_reads_p_and_rotation_from_the_protocol(monkeypatch):
+    protocol, dec = _protocol(Coupling.ALL_NODE, 20, True), _dec(Coupling.ALL_NODE, 20)
+    c = ControlParams(0.3, 0.6, 0.1, 0.8)
+    expected = create_state(protocol, dec, c)
+
+    def refuse(*args):
+        raise AssertionError("P(t0) recomputed")
+
+    monkeypatch.setattr(rsc, "amplitude_matrix", refuse)
+    rho, cp = create_state(protocol, dec, c)
+    assert np.array_equal(rho, expected[0]) and cp == expected[1]
+    assert len(region_grid(protocol, dec, 0.25)) == 25
+    assert beta2_coverage(protocol, dec, 0.3, 0.6, 16).defined
+
+
+def test_protocol_with_non_unitary_v0_is_refused_on_first_use():
+    protocol, dec = _protocol(Coupling.ALL_NODE, 9, True), _dec(Coupling.ALL_NODE, 9)
+    bad_v0 = np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)
+    bad = dataclasses.replace(protocol, svd=dataclasses.replace(protocol.svd, v0=bad_v0))
+    with pytest.raises(ValueError, match="not unitary"):
+        create_state(bad, dec, ControlParams(0.3, 0.6, 0.1, 0.8))
+    with pytest.raises(ValueError, match="not unitary"):
+        region_grid(bad, dec, 0.25)
+    with pytest.raises(ValueError, match="not unitary"):
+        beta2_coverage(bad, dec, 0.3, 0.6, 16)
+    with pytest.raises(ValueError, match="not unitary"):
+        bad.rotation
