@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,10 @@ class CouplingModel:
     n: int
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.n)  # Python and numpy integers only
+        except TypeError:
+            raise ValueError(f"chain length must be an integer, got {self.n!r}") from None
         if self.n < 4:
             raise ValueError(
                 f"chain length must be at least 4 (got {self.n}): sender nodes 1, 2 "
@@ -83,7 +88,7 @@ def build_hamiltonian(couplings: np.ndarray) -> np.ndarray:
     return c / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and orthonormal eigenvectors of the chain.
 

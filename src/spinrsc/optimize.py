@@ -67,7 +67,7 @@ class SingularPair(NamedTuple):
     lam_plus: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdTriple:
     """Decomposition ``P = v0^+ . diag(lam) . u`` with unitary ``v0`` and ``u``.
 
@@ -323,7 +323,7 @@ def _rotation(v0: np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalProtocol:
     """Everything needed to run the creation pipeline at the optimal time.
 

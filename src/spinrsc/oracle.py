@@ -3,20 +3,20 @@
 The full-space Hamiltonian acts on vectors over all 2^N bitmask basis
 states, with no reference to excitation-number structure.  For every
 coupled pair of nodes i < j it swaps an excitation between bits i and j
-with the matrix element d_ij / 2.  ``full_transition_amplitude`` applies
-each such term through strided views of the 2^N vector, with no index
-arrays and without ever forming the 2^N matrix.  It runs Lanczos from |j>
-with full reorthogonalisation until the Krylov space closes (beta ~ 0), and
-on that invariant space ``exp(-i H t)|j> = V S exp(-i Lambda t) S^T e1``
-holds exactly for every t.  H conserves excitation number, so the space of
-a one-excitation node closes within n vectors and the vacuum's at one; the
-oracle observes that closure rather than assuming it, so agreement with the
+with the matrix element d_ij / 2.  ``_apply`` adds each such term through
+strided views of the 2^N vector and is the one encoding of that action;
+``full_hamiltonian`` is its image of every basis state.
+``full_transition_amplitude`` runs Lanczos from |j> with full
+reorthogonalisation until the Krylov space closes (beta ~ 0); on that
+invariant space ``exp(-i H t)|j> = V S exp(-i Lambda t) S^T e1`` holds
+exactly for every t.  H conserves excitation number, so the space of a
+one-excitation node closes within n vectors and the vacuum's at one; a
+space still open after n vectors is an error, so agreement with the
 spectral-sum amplitudes validates the single-excitation reduction end to
-end.  ``full_hamiltonian`` scatters the same pair terms into a dense matrix
-for small n through flip indices, an independent reference for the strided
-apply.  The sampling maximiser provides an independent lower bound on the
-best transfer probability that the SVD route must dominate; it evaluates
-``|R a|^2 / |a|^2`` as a real quadratic form of the Gaussian draws.
+end.  Only the rows of ``V S`` on the vacuum and the n one-excitation
+states are kept.  The sampling maximiser gives an independent lower bound
+on the best transfer probability that the SVD route must dominate; it
+evaluates ``|R a|^2 / |a|^2`` as a real quadratic form of the Gaussian draws.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ import functools
 import numpy as np
 
 from .chain import Coupling, CouplingModel, build_couplings
+from .errors import SpinRscError
 
 MAX_FULL_NODES = 18
 MAX_DENSE_NODES = 12
 # Lanczos stops once the new residual falls below this fraction of |H v|.
 # Closing residuals measure ~1e-31 for n <= 18; the genuine ones stay above 0.04.
 BREAKDOWN_TOL = 1e-12
-BASIS_CHUNK = 32  # Lanczos rows allocated at a time; rows never written cost no memory
 SAMPLE_CHUNK = 1 << 14  # sender vectors drawn and evaluated at a time
 
 __all__ = [
@@ -66,17 +66,17 @@ def _coupled_pairs(model: CouplingModel) -> list[tuple[int, int, float]]:
 
 
 def full_hamiltonian(model: CouplingModel) -> np.ndarray:
-    """Dense 2^N x 2^N chain Hamiltonian, scattered pair by pair through flip indices."""
+    """Dense 2^N x 2^N chain Hamiltonian, ``_apply`` of every basis state."""
     if model.n > MAX_DENSE_NODES:
         raise ValueError(
             f"dense full-space Hamiltonian is limited to n <= {MAX_DENSE_NODES}, got {model.n}"
         )
-    states = np.arange(1 << model.n)
-    h = np.zeros((1 << model.n, 1 << model.n))
-    for i, j, element in _coupled_pairs(model):
-        # the states whose bits i and j differ, the only ones the term moves
-        flip = states[((states >> i) ^ (states >> j)) & 1 == 1]
-        h[flip ^ ((1 << i) | (1 << j)), flip] += element
+    pairs, dim = _coupled_pairs(model), 1 << model.n
+    h, unit = np.empty((dim, dim)), np.zeros(dim)
+    for state in range(dim):
+        unit[state] = 1.0
+        _apply(pairs, model.n, unit, h[state])  # H|state>; H is real symmetric
+        unit[state] = 0.0
     return h
 
 
@@ -99,13 +99,13 @@ def _apply(pairs, n: int, v: np.ndarray, out: np.ndarray) -> None:
 def _full_spectrum(kind: Coupling, n: int, j: int):
     """Eigenpairs of the full H on the Krylov space of |j>, found by Lanczos.
 
-    Returns ``(evals, evecs, weights)``: the columns of ``evecs`` (2^N x m)
-    are eigenvectors of the full H with eigenvalues ``evals``, and
-    ``weights`` are their components ``S^T e1`` along |j>.
+    Returns ``(evals, rows, weights)``: ``rows[k]`` holds the components of
+    the eigenvectors (eigenvalues ``evals``) along node k, 0 for the vacuum,
+    and ``weights`` those along |j>.  Raises ``SpinRscError`` if the space
+    is still open after n Lanczos vectors.
     """
-    pairs = _coupled_pairs(CouplingModel(kind, n))
-    dim = 1 << n
-    basis = np.zeros((BASIS_CHUNK, dim))  # rows: the orthonormal Lanczos vectors
+    pairs, dim = _coupled_pairs(CouplingModel(kind, n)), 1 << n
+    basis = np.zeros((n, dim))  # rows: the orthonormal Lanczos vectors
     basis[0, basis_index(j)] = 1.0
     w = np.empty(dim)  # the residual of the newest vector
     alphas, betas = [], []
@@ -117,18 +117,17 @@ def _full_spectrum(kind: Coupling, n: int, j: int):
         for _ in range(2):  # full reorthogonalisation, twice
             w -= (basis[:k] @ w) @ basis[:k]
         beta = np.linalg.norm(w)
-        if beta <= BREAKDOWN_TOL * scale or k == dim:
+        if beta <= BREAKDOWN_TOL * scale:
             break
+        if k == n:
+            raise SpinRscError(f"Krylov space of |{j}> did not close within {n} vectors")
         betas.append(beta)
-        if k == len(basis):  # grow by a chunk, leaving the new rows untouched
-            grown = np.zeros((k + BASIS_CHUNK, dim))
-            grown[:k] = basis
-            basis = grown
         np.divide(w, beta, out=basis[k])
         k += 1
     tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     evals, s = np.linalg.eigh(tri)
-    return evals, basis[:k].T @ s, s[0]
+    nodes = [basis_index(node) for node in range(n + 1)]
+    return evals, basis[:k, nodes].T @ s, s[0]
 
 
 def full_transition_amplitude(model: CouplingModel, k: int, j: int, t: float) -> complex:
@@ -142,8 +141,8 @@ def full_transition_amplitude(model: CouplingModel, k: int, j: int, t: float) ->
         )
     if not (0 <= k <= model.n and 0 <= j <= model.n):
         raise ValueError(f"node labels must lie in 0..{model.n}, got k={k}, j={j}")
-    evals, evecs, weights = _full_spectrum(model.kind, model.n, j)
-    return complex(evecs[basis_index(k)] @ (weights * np.exp(-1j * evals * t)))
+    evals, rows, weights = _full_spectrum(model.kind, model.n, j)
+    return complex(rows[k] @ (weights * np.exp(-1j * evals * t)))
 
 
 class TransferMode(enum.Enum):

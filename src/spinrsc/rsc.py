@@ -342,7 +342,7 @@ def region_grid(
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageReport:
     """How densely beta2 fills [0, 1) when phi2 sweeps a full turn.
 

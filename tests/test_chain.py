@@ -32,8 +32,10 @@ def test_first_pair_coupling_is_exactly_one():
 
 
 def test_short_chain_rejected():
-    with pytest.raises(ValueError, match="disjoint"):
-        CouplingModel(Coupling.ALL_NODE, 3)
+    for n, message in ((3, "disjoint"), (5.5, "integer"), (6.0, "integer")):
+        with pytest.raises(ValueError, match=message):
+            CouplingModel(Coupling.ALL_NODE, n)
+    assert CouplingModel(Coupling.ALL_NODE, np.int64(6)).n == 6
 
 
 def test_couplings_symmetric_zero_diagonal():

@@ -453,6 +453,18 @@ def test_significance_floor_margins(full_sweep):
     assert math.log10(smallest_peak / SIGNIFICANCE_FLOOR) >= 2.0
 
 
+def _assert_protocol_rebuilt_from(p: np.ndarray, protocol, label) -> None:
+    """``a_opt``, ``svd.v0`` and ``svd.u`` of ``protocol`` from an independent P(t0)."""
+    svd = svd_decompose(p)
+    if protocol.with_v:
+        a_opt = optimal_sender_state(svd).excitation
+    else:
+        a_opt = p[1].conj() / np.linalg.norm(p[1])
+    assert np.max(np.abs(a_opt - protocol.a_opt.excitation)) <= 1e-12, label
+    assert np.max(np.abs(svd.v0 - protocol.svd.v0)) <= 1e-12, label
+    assert np.max(np.abs(svd.u - protocol.svd.u)) <= 1e-12, label
+
+
 def test_nn_sweep_rows_match_the_closed_form_chain(full_sweep):
     # The nearest-neighbour chain has E_m = cos(m pi/(n+1)) and
     # v_km = sqrt(2/(n+1)) sin(k m pi/(n+1)) (Bose, PRL 91, 207901 (2003)),
@@ -469,11 +481,17 @@ def test_nn_sweep_rows_match_the_closed_form_chain(full_sweep):
         weights = np.array([modes[k] * modes[j] for k in (row.n - 1, row.n) for j in (1, 2)])
 
         def closed_form(t):
-            return row_norm_sq((weights @ np.exp(-1j * energies * t)).reshape(2, 2, 1))[0]
+            return (weights @ np.exp(-1j * energies * t)).reshape(2, 2)
 
-        peak = closed_form(row.t0)
+        def objective(t):
+            return row_norm_sq(closed_form(t)[:, :, None])[0]
+
+        peak = objective(row.t0)
         assert peak == pytest.approx(row.r_max_sq, abs=1e-12), row.n
-        assert closed_form(row.t0 - 1e-4) < peak and closed_form(row.t0 + 1e-4) < peak, row.n
+        assert objective(row.t0 - 1e-4) < peak and objective(row.t0 + 1e-4) < peak, row.n
+        # sweep rows carry no a_opt, so the protocol is built for this check
+        protocol = optimal_protocol(_dec(Coupling.NEAREST_NEIGHBOR, row.n), with_v=False)
+        _assert_protocol_rebuilt_from(closed_form(protocol.t0), protocol, row.n)
 
 
 def test_high_threshold_critical_lengths():
@@ -599,6 +617,7 @@ def test_all_node_protocols_match_a_taylor_propagator():
             offset = protocol.t0 - start
             ps = [_taylor_step(h, psi, offset + dt)[[-2, -1]] for dt in (-1e-4, 0.0, 1e-4)]
             assert np.max(np.abs(ps[1] - protocol.p)) <= 1e-12, (n, objective)
+            _assert_protocol_rebuilt_from(ps[1], protocol, (n, objective))
             before, peak, after = objective(np.stack(ps, axis=-1))
             assert peak == pytest.approx(protocol.r_max_sq, abs=1e-12), (n, objective)
             assert before < peak and after < peak, (n, objective)

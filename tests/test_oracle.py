@@ -12,8 +12,9 @@ from spinrsc import (
     sample_max_transfer,
     transition_amplitude,
 )
-from spinrsc import oracle
+from spinrsc import SpinRscError, oracle
 from spinrsc.chain import build_couplings
+from spinrsc.cli import main
 from spinrsc.oracle import _apply, _coupled_pairs, _full_spectrum, basis_index
 
 
@@ -120,16 +121,34 @@ def test_strided_apply_equals_table_apply_bit_for_bit():
             assert np.array_equal(strided.view(np.int64), table.view(np.int64)), (kind, n)
 
 
-def test_krylov_space_outgrowing_the_first_basis_chunk(monkeypatch):
-    # a one-excitation space fits one chunk; with 3-row chunks it grows three times
-    for kind in Coupling:
-        wide = _full_spectrum.__wrapped__(kind, 12, 1)
-        monkeypatch.setattr(oracle, "BASIS_CHUNK", 3)
-        grown = _full_spectrum.__wrapped__(kind, 12, 1)
-        monkeypatch.undo()
-        assert grown[1].shape == (1 << 12, 12)
-        for a, b in zip(wide, grown):
-            assert np.array_equal(a, b)
+def test_a_krylov_space_still_open_after_n_vectors_is_an_error(monkeypatch, capsys):
+    # a term that moves node 1's excitation into |1, 2> lets the space of
+    # node 1 reach the two-excitation states, so n Lanczos vectors cannot hold it
+    real_apply = oracle._apply
+
+    def leaky_apply(pairs, n, v, out):
+        real_apply(pairs, n, v, out)
+        out[0b11] += 0.3 * v[0b01]
+        out[0b01] += 0.3 * v[0b11]
+
+    monkeypatch.setattr(oracle, "_apply", leaky_apply)
+    _full_spectrum.cache_clear()
+    try:
+        for kind in Coupling:
+            with pytest.raises(SpinRscError, match="did not close"):
+                _full_spectrum(kind, 6, 1)
+        assert main(["verify", "--n", "6", "--model", "all", "--t", "3.7"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "did not close" in err
+    finally:
+        _full_spectrum.cache_clear()
+
+
+def _embed(n: int, rows: np.ndarray) -> np.ndarray:
+    """Columns of 2^N vectors that carry ``rows`` on the vacuum and one-excitation states."""
+    vectors = np.zeros((1 << n, rows.shape[1]))
+    vectors[[basis_index(node) for node in range(n + 1)]] = rows
+    return vectors
 
 
 def test_krylov_eigenpairs_are_eigenpairs_of_the_full_hamiltonian():
@@ -138,28 +157,36 @@ def test_krylov_eigenpairs_are_eigenpairs_of_the_full_hamiltonian():
         h = full_hamiltonian(model)
         spectrum = np.linalg.eigvalsh(h)
         for j in (0, 1, 2):
-            evals, evecs, weights = _full_spectrum(kind, 9, j)
-            assert np.max(np.abs(h @ evecs - evecs * evals)) < 1e-12
+            evals, rows, weights = _full_spectrum(kind, 9, j)
+            assert rows.shape == (10, evals.size)
+            evecs = _embed(9, rows)
+            # orthonormal as 2^N vectors: no weight lies off the kept states
             assert np.max(np.abs(evecs.T @ evecs - np.eye(evals.size))) < 1e-12
+            assert np.max(np.abs(h @ evecs - evecs * evals)) < 1e-12
             assert all(np.min(np.abs(spectrum - e)) < 1e-12 for e in evals)
-            assert np.allclose(evecs[basis_index(j)], weights, rtol=0.0, atol=1e-14)
+            assert np.allclose(rows[j], weights, rtol=0.0, atol=1e-14)
 
 
 def test_sender_krylov_spaces_close_and_nothing_leaks():
-    # H conserves excitation number; the Lanczos loop observes the closure
-    # as a breakdown and would run on up to 2^N vectors without one
+    # H conserves excitation number, so the space of a node closes within
+    # n Lanczos vectors; the loop observes the closure as a breakdown
     for kind in Coupling:
         for n in (6, 10):
-            excitations = np.array([bin(s).count("1") for s in range(1 << n)])
+            h = full_hamiltonian(CouplingModel(kind, n))
             for j in (1, 2):
-                evals, evecs, weights = _full_spectrum(kind, n, j)
-                assert 1 < evecs.shape[1] <= n, (kind, n, j)
+                evals, rows, weights = _full_spectrum(kind, n, j)
+                assert 1 < rows.shape[1] <= n, (kind, n, j)
+                evecs = _embed(n, rows)
+                # orthonormal eigenvectors of the full H that live on the kept states
+                assert np.max(np.abs(evecs.T @ evecs - np.eye(evals.size))) < 1e-12
+                assert np.max(np.abs(h @ evecs - evecs * evals)) < 1e-12
                 for t in (0.7, 2.3 * n, 3.0 * n, 250.0):
-                    # the full 2^N vector exp(-i H t)|j>, no sector singled out
-                    psi = evecs @ (weights * np.exp(-1j * evals * t))
-                    assert abs(np.vdot(psi, psi) - 1.0) < 1e-12
-                    leaked = float(np.sum(np.abs(psi[excitations > 1]) ** 2))
-                    assert leaked <= 1e-13, (kind, n, j, t, leaked)
+                    # exp(-i H t)|j> has unit norm, so what its kept part
+                    # lacks of that norm has leaked to other states
+                    psi = rows @ (weights * np.exp(-1j * evals * t))
+                    kept = np.vdot(psi, psi).real
+                    assert abs(kept - 1.0) < 1e-12
+                    assert 1.0 - kept <= 1e-13, (kind, n, j, t, 1.0 - kept)
 
 
 def test_basis_index_convention():
@@ -179,7 +206,7 @@ def test_vacuum_is_stationary_in_full_space():
         for n in (4, 10, 16):
             model = CouplingModel(kind, n)
             # H annihilates the vacuum, so its Krylov space closes at once
-            assert _full_spectrum(kind, n, 0)[1].shape == (1 << n, 1)
+            assert _full_spectrum(kind, n, 0)[1].shape == (n + 1, 1)
             for t in (0.0, 1.3, 8.0, 3.0 * n):
                 amp = full_transition_amplitude(model, 0, 0, t)
                 assert abs(amp - 1.0) < 1e-12

@@ -345,6 +345,18 @@ def test_beta2_coverage_does_not_wrap_at_balanced_angles():
     assert report.max_gap > 0.5
 
 
+def test_results_that_hold_arrays_compare_by_identity_and_hash():
+    # a field-wise == or hash would reach numpy arrays and raise
+    def results():
+        dec = chain_decomposition(CouplingModel(Coupling.ALL_NODE, 9))
+        protocol = optimal_protocol(dec, with_v=True)
+        return dec, protocol.svd, protocol, beta2_coverage(protocol, dec, 0.5, 0.9, 100)
+
+    for first, second in zip(results(), results()):
+        assert first == first and first != second, type(first).__name__
+        assert len({first, second, first}) == 2
+
+
 def test_beta2_coverage_undefined_without_excitation():
     protocol = _protocol(Coupling.ALL_NODE, 10, True)
     dec = _dec(Coupling.ALL_NODE, 10)
