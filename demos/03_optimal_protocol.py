@@ -8,17 +8,18 @@ transfer probability (largest singular value squared) and the receiver-side
 unitary that afterwards concentrates the excitation on the last node.
 """
 
+import cmath
+import math
+
 import numpy as np
 
 from spinrsc import (
+    ControlParams,
     Coupling,
     CouplingModel,
-    amplitude_matrix,
-    apply_v_and_reduce,
     chain_decomposition,
-    extended_receiver_density,
+    create_state,
     optimal_protocol,
-    sender_to_f,
 )
 
 
@@ -32,15 +33,16 @@ def main():
     print(f"best |f_N|^2 without receiver rotation: {plain.r_max_sq:.6f} at t0 = {plain.t0:.4f}")
     print(f"best transfer with receiver rotation:   {rotated.r_max_sq:.6f} at t0 = {rotated.t0:.4f}")
 
-    a = rotated.a_opt
-    print(f"optimal sender amplitudes: a1 = {a.a1:.4f}, a2 = {a.a2:.4f}")
+    a1, a2 = rotated.a_opt.tolist()
+    print(f"optimal sender amplitudes: a1 = {a1:.4f}, a2 = {a2:.4f}")
     print(f"singular values of P(t0): {rotated.svd.lam.lam_minus:.6f}, "
           f"{rotated.svd.lam.lam_plus:.6f}")
 
-    # run the pipeline at the optimum: the receiver state comes out diagonal
-    p = amplitude_matrix(dec, rotated.t0)
-    f = sender_to_f(p, a)
-    rho = apply_v_and_reduce(extended_receiver_density(f), rotated.v0)
+    # run the pipeline at the optimum: no vacuum weight and a = a_opt, whose
+    # control angles are its weights' split and the phases in turns
+    alpha2 = math.atan2(abs(a2), abs(a1)) / (0.5 * math.pi)
+    phi1, phi2 = ((cmath.phase(a) / (2.0 * math.pi)) % 1.0 for a in (a1, a2))
+    rho, _ = create_state(rotated, dec, ControlParams(0.0, alpha2, phi1, phi2))
     print("receiver state with the optimal sender and rotation:")
     print(np.array_str(rho.real, precision=6, suppress_small=True))
     print(f"expected diag(1 - R^2, R^2) with R^2 = {rotated.r_max_sq:.6f}")

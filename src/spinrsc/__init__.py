@@ -49,11 +49,8 @@ from .oracle import (
     sample_max_transfer,
 )
 from .propagate import (
-    FVector,
-    SenderState,
     amplitude_matrix,
     amplitude_series,
-    sender_to_f,
     transition_amplitude,
 )
 from .rsc import (
@@ -61,12 +58,9 @@ from .rsc import (
     CoverageReport,
     CreatableParams,
     RegionRow,
-    apply_v_and_reduce,
     beta2_coverage,
-    control_to_amplitudes,
     creatable_params,
     create_state,
-    extended_receiver_density,
     receiver_from_params,
     region_grid,
 )

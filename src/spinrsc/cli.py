@@ -34,6 +34,7 @@ _MODEL_LABELS = tuple(model.value for model in SweepModel)
 _MODELS_HELP = f"comma list of {', '.join(_MODEL_LABELS)}"
 _FLOAT = "%.17g"  # every printed float: 17 significant digits round-trip a double
 VERIFY_TOL = 1e-10  # largest amplitude deviation ``verify`` accepts (acceptance criterion 5)
+MAX_TIME = 1e12  # largest |t| that ``amplitudes`` and ``verify`` accept
 
 
 def _fmt(x: float) -> str:
@@ -79,14 +80,15 @@ def _probability(text: str) -> float:
 
 
 def _check_time(t: float) -> None:
-    """Refuse a time at which a phase ``E t`` could overflow, before computing anything.
+    """Refuse a time beyond ``MAX_TIME``, before computing anything.
 
     By Gershgorin every eigenvalue lies within half the largest coupling row
-    sum, at most zeta(3) ~ 1.2 for any chain, so a finite ``2 t`` keeps every
-    ``E t`` finite.
+    sum, at most zeta(3) ~ 1.2 for any chain, so ``|E t| <= 1.2 |t|``.  An
+    eigenvalue's rounding moves its phase by ~1e-16 ``|E t|``: ``verify`` at
+    n = 9 deviates by 1.4e-4 at t = 1e12 and by 1.8e-2 at 1e14.
     """
-    if not math.isfinite(2.0 * t):
-        raise ValueError(f"time {t!r} is too large: the phases E t can overflow")
+    if not abs(t) <= MAX_TIME:
+        raise ValueError(f"time {t!r} is too large: |t| must not exceed {MAX_TIME:g}")
 
 
 def _chain(args):
@@ -120,7 +122,7 @@ def _cmd_optimize(args) -> int:
     out = {
         "t0": protocol.t0,
         "r_max_sq": protocol.r_max_sq,
-        "a_opt": [_pair(protocol.a_opt.a1), _pair(protocol.a_opt.a2)],
+        "a_opt": [_pair(complex(a)) for a in protocol.a_opt],
         "u": _matrix_pairs(protocol.svd.u),
         "v0": _matrix_pairs(protocol.svd.v0),
         "lam": [protocol.svd.lam.lam_minus, protocol.svd.lam.lam_plus],

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["SpinRscError", "EigensolverError", "MaximumNotFoundError", "DegenerateProtocolError"]
+
 
 class SpinRscError(Exception):
     """Base class for domain errors raised by spinrsc."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .chain import Coupling, CouplingModel, SpectralDecomposition, chain_decomposition
 from .errors import DegenerateProtocolError, MaximumNotFoundError, SpinRscError
-from .propagate import SenderState, _p_stack, amplitude_grid, amplitude_matrix, amplitude_series
+from .propagate import _p_stack, amplitude_grid, amplitude_matrix, amplitude_series
 
 COARSE_STEP = 0.05
 REFINE_TOL = 1e-8
@@ -125,10 +125,10 @@ def svd_decompose(p: np.ndarray) -> SvdTriple:
     return SvdTriple(v0=v0, lam=SingularPair(lam_minus, lam_plus), u=u)
 
 
-def optimal_sender_state(svd: SvdTriple) -> SenderState:
-    """Sender state maximising the extended-receiver transfer probability.
+def optimal_sender_state(svd: SvdTriple) -> np.ndarray:
+    """Sender excitation amplitudes maximising the extended-receiver transfer probability.
 
-    Returns ``(a1, a2) = u^+ (0, 1)^T`` with zero vacuum weight, for which
+    Returns the read-only unit column ``(a1, a2) = u^+ (0, 1)^T``, for which
     ``||P a||`` equals the largest singular value.
     """
     if svd.lam.lam_plus <= 0.0:
@@ -136,7 +136,8 @@ def optimal_sender_state(svd: SvdTriple) -> SenderState:
             "no excitation reaches the extended receiver (largest singular value is 0)"
         )
     a = svd.u.conj().T @ np.array([0.0, 1.0])
-    return SenderState(a0=0.0, a1=complex(a[0]), a2=complex(a[1]))
+    a.flags.writeable = False
+    return a
 
 
 def lam_plus_sq(ps: np.ndarray) -> np.ndarray:
@@ -330,14 +331,15 @@ class OptimalProtocol:
     ``r_max_sq`` is the maximised transfer probability: the largest squared
     singular value of ``P(t0)`` when the receiver-side unitary is used,
     otherwise the squared norm of the bottom row.  ``p`` is ``P(t0)`` itself,
-    read-only, so the creation pipeline never recomputes it.
+    read-only, so the creation pipeline never recomputes it.  ``a_opt`` is the
+    optimal sender's read-only unit column ``(a1, a2)``, with no vacuum weight.
     """
 
     t0: float
     r_max_sq: float
     p: np.ndarray
     svd: SvdTriple
-    a_opt: SenderState
+    a_opt: np.ndarray
     with_v: bool = True
 
     @property
@@ -374,7 +376,8 @@ def optimal_protocol(dec: SpectralDecomposition, with_v: bool = True) -> Optimal
         nrm = float(np.linalg.norm(row))
         if nrm == 0.0:
             raise DegenerateProtocolError("no excitation reaches the receiver node")
-        a_opt = SenderState(a0=0.0, a1=complex(row[0] / nrm), a2=complex(row[1] / nrm))
+        a_opt = row / nrm
+        a_opt.flags.writeable = False
     return OptimalProtocol(t0=t0, r_max_sq=value, p=p, svd=svd, a_opt=a_opt, with_v=with_v)
 
 

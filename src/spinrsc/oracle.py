@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 
 import numpy as np
 
@@ -139,6 +140,10 @@ def full_transition_amplitude(model: CouplingModel, k: int, j: int, t: float) ->
         raise ValueError(
             f"full-space oracle is limited to n <= {MAX_FULL_NODES}, got {model.n}"
         )
+    try:
+        k, j = operator.index(k), operator.index(j)  # Python and numpy integers only
+    except TypeError:
+        raise ValueError(f"node labels must be integers, got k={k!r}, j={j!r}") from None
     if not (0 <= k <= model.n and 0 <= j <= model.n):
         raise ValueError(f"node labels must lie in 0..{model.n}, got k={k}, j={j}")
     evals, rows, weights = _full_spectrum(model.kind, model.n, j)

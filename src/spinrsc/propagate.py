@@ -1,4 +1,4 @@
-"""Transition amplitudes and the sender-to-receiver amplitude map.
+"""Transition amplitudes and the 2x2 sender-to-receiver amplitude matrix.
 
 The amplitude ``p_kj(t) = <k| exp(-i H t) |j>`` is a spectral sum over the
 chain eigenpairs, so thousands of time samples reuse a single dense
@@ -14,13 +14,12 @@ fewer complex exponentials than it has points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
 from .chain import SpectralDecomposition
 
-NORM_TOL = 1e-12
 GRID_BLOCK = 64  # grid points sharing one block phase in amplitude_grid
 
 __all__ = [
@@ -28,9 +27,6 @@ __all__ = [
     "amplitude_series",
     "amplitude_grid",
     "amplitude_matrix",
-    "SenderState",
-    "FVector",
-    "sender_to_f",
 ]
 
 
@@ -40,6 +36,10 @@ def transition_amplitude(dec: SpectralDecomposition, k: int, j: int, t: float) -
     Node indices are 1-based like the chain nodes.
     """
     n = dec.n
+    try:
+        k, j = operator.index(k), operator.index(j)  # Python and numpy integers only
+    except TypeError:
+        raise ValueError(f"node indices must be integers, got k={k!r}, j={j!r}") from None
     if not (1 <= k <= n and 1 <= j <= n):
         raise ValueError(f"node indices must lie in 1..{n}, got k={k}, j={j}")
     w = dec.vectors[k - 1] * dec.vectors[j - 1]
@@ -88,52 +88,3 @@ def amplitude_grid(dec: SpectralDecomposition, step: float, count: int) -> np.nd
 def amplitude_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """The 2x2 sender-to-extended-receiver transition matrix at time ``t``."""
     return _p_stack([(dec.weights, np.exp(-1j * (t * dec.energies))[None])])[:, :, 0]
-
-
-@dataclass(frozen=True)
-class SenderState:
-    """Pure one-excitation state of the two sender nodes plus vacuum weight.
-
-    ``a0`` is the real vacuum amplitude; ``a1`` and ``a2`` are the complex
-    amplitudes of an excitation on nodes 1 and 2.
-    """
-
-    a0: float
-    a1: complex
-    a2: complex
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.a0 <= 1.0:
-            raise ValueError(f"a0 must lie in [0, 1], got {self.a0}")
-        norm = self.a0**2 + abs(self.a1) ** 2 + abs(self.a2) ** 2
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"sender state must be normalised, got |a|^2 = {norm!r}")
-
-    @property
-    def excitation(self) -> np.ndarray:
-        """The column ``(a1, a2)`` that multiplies the P matrix."""
-        return np.array([self.a1, self.a2], dtype=complex)
-
-
-@dataclass(frozen=True)
-class FVector:
-    """Amplitudes that determine the extended-receiver state.
-
-    ``f0`` equals the sender's vacuum amplitude (the vacuum is stationary);
-    ``f_nm1`` and ``f_n`` are the excitation amplitudes on nodes N-1 and N.
-    """
-
-    f0: float
-    f_nm1: complex
-    f_n: complex
-
-    @property
-    def transfer_sq(self) -> float:
-        """Probability of finding the excitation on the extended receiver."""
-        return abs(self.f_nm1) ** 2 + abs(self.f_n) ** 2
-
-
-def sender_to_f(p: np.ndarray, s: SenderState) -> FVector:
-    """Propagate a sender state through ``P``: ``f = P (a1, a2)^T``, ``f0 = a0``."""
-    f = np.asarray(p, dtype=complex) @ s.excitation
-    return FVector(f0=s.a0, f_nm1=complex(f[0]), f_n=complex(f[1]))

@@ -9,9 +9,9 @@ a grid maps out the region of receiver states the chain can create.
 The protocol owns ``P(t0)`` and the rotation ``diag(1, v0, 1)``, whose
 unitarity it checks once (:class:`~spinrsc.optimize.OptimalProtocol`), so
 no creation function recomputes either; their ``dec`` argument is unused
-and stays only for their callers.  :func:`create_state` runs the public
-stage functions for one point and reduces through :func:`_reduce`, as
-:func:`apply_v_and_reduce` does after checking its ``v0``.
+and stays only for their callers.  :func:`create_state` computes one point
+with CPython's scalar ``math``/``cmath`` calls, one ``P @ (a1, a2)`` product,
+:func:`_extended_density` and :func:`_reduce`.
 :func:`region_grid` runs the same arithmetic on arrays of control points
 (:func:`_create_batch`) and gives bit-identical results: the BLAS products
 are the same calls stacked, complex products are written out the way CPython
@@ -34,9 +34,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import SpectralDecomposition
-from .optimize import OptimalProtocol, _rotation
+from .optimize import OptimalProtocol
 # bench/spans.py wraps rsc.amplitude_matrix, so the name stays importable here
-from .propagate import FVector, SenderState, amplitude_matrix, sender_to_f  # noqa: F401
+from .propagate import amplitude_matrix  # noqa: F401
 
 CONSTRAINT_TOL = 1e-9
 CHUNK_POINTS = 2048  # region_grid's batch size in points, rounded down to whole alpha1 lines
@@ -46,9 +46,6 @@ __all__ = [
     "CreatableParams",
     "RegionRow",
     "CoverageReport",
-    "control_to_amplitudes",
-    "extended_receiver_density",
-    "apply_v_and_reduce",
     "creatable_params",
     "receiver_from_params",
     "create_state",
@@ -78,52 +75,33 @@ class ControlParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-def control_to_amplitudes(c: ControlParams) -> SenderState:
-    """Map control angles to the (normalised by construction) sender state."""
-    half1 = 0.5 * math.pi * c.alpha1
-    half2 = 0.5 * math.pi * c.alpha2
-    a0 = math.sin(half1)
-    a1 = math.cos(half1) * math.cos(half2) * cmath.exp(2j * math.pi * c.phi1)
-    a2 = math.cos(half1) * math.sin(half2) * cmath.exp(2j * math.pi * c.phi2)
-    return SenderState(a0=a0, a1=a1, a2=a2)
-
-
-def extended_receiver_density(f: FVector) -> np.ndarray:
+def _extended_density(a0: float, f_nm1: complex, f_n: complex) -> np.ndarray:
     """4x4 extended-receiver state in the basis (|0>, |N-1>, |N>, |(N-1)N>).
 
-    The doubly-excited component is identically zero because the chain holds
-    at most one excitation.
+    ``a0`` is the vacuum amplitude and ``f_nm1``, ``f_n`` the arrival
+    amplitudes on nodes N-1 and N.  The doubly-excited component is
+    identically zero because the chain holds at most one excitation.
     """
-    occupied = f.transfer_sq
-    total = f.f0**2 + occupied
+    sq_nm1 = abs(f_nm1) ** 2
+    sq_n = abs(f_n) ** 2
+    occupied = sq_nm1 + sq_n
+    total = a0**2 + occupied
     if total > 1.0 + CONSTRAINT_TOL:
         raise ValueError(
             f"invalid amplitude vector: f0^2 + |f_nm1|^2 + |f_n|^2 = {total!r} exceeds 1"
         )
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0 - occupied
-    rho[1, 1] = abs(f.f_nm1) ** 2
-    rho[2, 2] = abs(f.f_n) ** 2
-    rho[0, 1] = f.f0 * f.f_nm1.conjugate()
-    rho[0, 2] = f.f0 * f.f_n.conjugate()
-    rho[1, 2] = f.f_nm1 * f.f_n.conjugate()
-    rho[1, 0] = rho[0, 1].conjugate()
-    rho[2, 0] = rho[0, 2].conjugate()
-    rho[2, 1] = rho[1, 2].conjugate()
-    return rho
-
-
-def apply_v_and_reduce(rho_ext: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Rotate the two receiver nodes by ``v0`` and trace out node N-1.
-
-    ``v0`` acts on the single-excitation pair (|N-1>, |N>), i.e. the full
-    rotation is ``diag(1, v0, 1)``; the result is the 2x2 receiver state in
-    the basis (|0>, |N>).
-    """
-    rho_ext = np.asarray(rho_ext, dtype=complex)
-    if rho_ext.shape != (4, 4):
-        raise ValueError(f"extended-receiver state must be 4x4, got {rho_ext.shape}")
-    return _reduce(rho_ext, _rotation(v0))
+    c01 = a0 * f_nm1.conjugate()
+    c02 = a0 * f_n.conjugate()
+    c12 = f_nm1 * f_n.conjugate()
+    return np.array(
+        [
+            [1.0 - occupied, c01, c02, 0.0],
+            [c01.conjugate(), sq_nm1, c12, 0.0],
+            [c02.conjugate(), c12.conjugate(), sq_n, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ],
+        dtype=complex,
+    )
 
 
 def _reduce(rho_ext: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -225,8 +203,8 @@ def _arrivals(p: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Vacuum amplitudes ``a0`` and arrival columns ``f = P a``, shapes ``(B,)`` and ``(B, 2, 1)``.
 
     ``controls`` holds one ``(alpha1, alpha2, phi1, phi2)`` row per point;
-    the arithmetic is that of :func:`control_to_amplitudes` and
-    :func:`sender_to_f`, and ``P a`` is the same BLAS call, stacked.
+    the arithmetic is that of :func:`create_state`, and ``P a`` is the same
+    BLAS call, stacked.
     """
     alpha1, alpha2, phi1, phi2 = controls.T
     half1 = 0.5 * math.pi * alpha1
@@ -298,8 +276,12 @@ def create_state(
     protocol's receiver-side unitary) together with its coordinates.  It
     reads the protocol's ``P(t0)`` and checked rotation; ``dec`` is unused.
     """
-    f = sender_to_f(protocol.p, control_to_amplitudes(controls))
-    rho_r = _reduce(extended_receiver_density(f), protocol.rotation)
+    half1 = 0.5 * math.pi * controls.alpha1
+    half2 = 0.5 * math.pi * controls.alpha2
+    a1 = math.cos(half1) * math.cos(half2) * cmath.exp(2j * math.pi * controls.phi1)
+    a2 = math.cos(half1) * math.sin(half2) * cmath.exp(2j * math.pi * controls.phi2)
+    f_nm1, f_n = (protocol.p @ np.array([a1, a2])).tolist()
+    rho_r = _reduce(_extended_density(math.sin(half1), f_nm1, f_n), protocol.rotation)
     return rho_r, creatable_params(rho_r)
 
 

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The sweep and oracle criteria also enforce their runtime budgets.
 """
 
+import cmath
+import math
 import time
 from pathlib import Path
 
@@ -16,23 +18,20 @@ from spinrsc import (
     SweepModel,
     TransferMode,
     amplitude_matrix,
-    apply_v_and_reduce,
     beta2_coverage,
     chain_decomposition,
     ControlParams,
-    control_to_amplitudes,
     create_state,
     creatable_params,
     critical_length,
-    extended_receiver_density,
     full_transition_amplitude,
     optimal_protocol,
     region_grid,
     sample_max_transfer,
-    sender_to_f,
     svd_decompose,
     transition_amplitude,
 )
+from spinrsc.rsc import _arrivals, _extended_density
 
 CRITICAL_HALF = {SweepModel.NN: 34, SweepModel.ALL_NO_V: 37, SweepModel.ALL_WITH_V: 109}
 CRITICAL_NINE_TENTHS = {SweepModel.NN: 6, SweepModel.ALL_NO_V: 4, SweepModel.ALL_WITH_V: 17}
@@ -105,9 +104,11 @@ def test_criterion_4_optimal_pipeline_reaches_diagonal_state():
     for n in (10, 50, 109):
         dec = chain_decomposition(CouplingModel(Coupling.ALL_NODE, n))
         protocol = optimal_protocol(dec, with_v=True)
-        p = amplitude_matrix(dec, protocol.t0)
-        f = sender_to_f(p, protocol.a_opt)
-        rho = apply_v_and_reduce(extended_receiver_density(f), protocol.v0)
+        # the control angles of the optimal sender: no vacuum weight, a = a_opt
+        a1, a2 = protocol.a_opt.tolist()
+        turns = [(cmath.phase(a) / (2.0 * math.pi)) % 1.0 for a in (a1, a2)]
+        alpha2 = math.atan2(abs(a2), abs(a1)) / (0.5 * math.pi)
+        rho, _ = create_state(protocol, dec, ControlParams(0.0, alpha2, *turns))
         target = np.diag([1.0 - protocol.r_max_sq, protocol.r_max_sq])
         deviation = float(np.max(np.abs(rho - target)))
         print(f"  n={n}: |rho - diag(1-R^2, R^2)| = {deviation:.2e}")
@@ -181,8 +182,8 @@ def test_criterion_7_property_bundle(chain_109):
     densities_ok = True
     for _ in range(50):
         c = ControlParams(*rng.uniform(0.0, 1.0, size=4))
-        f = sender_to_f(amplitude_matrix(dec6, protocol6.t0), control_to_amplitudes(c))
-        rho_ext = extended_receiver_density(f)
+        a0, f = _arrivals(protocol6.p, np.array([[c.alpha1, c.alpha2, c.phi1, c.phi2]]))
+        rho_ext = _extended_density(float(a0[0]), complex(f[0, 0, 0]), complex(f[0, 1, 0]))
         densities_ok &= bool(np.max(np.abs(rho_ext - rho_ext.conj().T)) < 1e-12)
         densities_ok &= bool(abs(np.trace(rho_ext).real - 1.0) < 1e-12)
         densities_ok &= bool(np.min(np.linalg.eigvalsh(rho_ext)) > -1e-12)

@@ -1,0 +1,133 @@
+"""The floating-point facts that keep the artifacts byte-identical, one test each.
+
+The golden files and ``bench/reference/`` were recorded with numpy 2.4.6
+and OpenBLAS 0.3.31.  The batched code paths give the same bits as the
+per-point ones only because of the facts below; after a numpy or BLAS
+upgrade a failure here names the fact that broke instead of leaving a bare
+byte diff in a golden file.
+"""
+
+import cmath
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spinrsc import Coupling, CouplingModel, chain_decomposition, lam_plus_sq, optimal_protocol
+from spinrsc import row_norm_sq
+from spinrsc.propagate import amplitude_grid
+from spinrsc.rsc import _arrivals, _extended_density, _scalar
+
+ROOT = Path(__file__).resolve().parents[1]
+RECORDED = "numpy 2.4.6 / OpenBLAS 0.3.31"
+RUNNING = (
+    f"numpy {np.__version__} / "
+    f"{np.__config__.CONFIG['Build Dependencies']['blas'].get('version', 'unknown BLAS')}"
+)
+
+
+def _broken(fact: str) -> str:
+    return f"bit fact broken: {fact} (goldens recorded with {RECORDED}; running {RUNNING})"
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def chain():
+    dec = chain_decomposition(CouplingModel(Coupling.ALL_NODE, 20))
+    return dec, optimal_protocol(dec, with_v=True)
+
+
+def test_stacked_weight_matmul_equals_the_single_products(chain):
+    # _refine probes every row with one (k, 4, n) @ (k, n, 1) product
+    dec, _ = chain
+    rng = np.random.default_rng(1)
+    phases = np.exp(-1j * np.outer(rng.uniform(0.0, 80.0, 64), dec.energies))
+    stacked = np.matmul(np.broadcast_to(dec.weights, (64, *dec.weights.shape)), phases[:, :, None])
+    single = np.stack([dec.weights @ row[:, None] for row in phases])
+    assert _same_bits(stacked, single), _broken(
+        "a stacked (R, 4, n) @ (R, n, 1) matmul equals each (4, n) @ (n, 1) product"
+    )
+
+
+def test_stacked_rotation_equals_the_per_point_product(chain):
+    # _create_batch rotates a (B, 4, 4) stack; create_state rotates one 4x4 matrix
+    _, protocol = chain
+    a0, f = _arrivals(protocol.p, np.random.default_rng(2).uniform(0.0, 1.0, (256, 4)))
+    rhos = [_extended_density(*point) for point in zip(a0.tolist(), *f[:, :, 0].T.tolist())]
+    v = protocol.rotation
+    stacked = v @ np.array(rhos) @ v.conj().T
+    single = np.array([v @ rho @ v.conj().T for rho in rhos])
+    assert _same_bits(stacked, single), _broken(
+        "the stacked (B, 4, 4) rotation v rho v^+ equals the 2-D product of each point"
+    )
+
+
+def test_hypot_of_the_parts_equals_abs_of_the_complex():
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=20000) * 10.0 ** rng.uniform(-300, 300, 20000)
+    z = z[: z.size // 2] + 1j * z[z.size // 2 :]
+    expected = np.array([abs(complex(x)) for x in z.tolist()])
+    assert _same_bits(np.hypot(z.real, z.imag), expected), _broken(
+        "np.hypot(z.real, z.imag) equals CPython's abs(complex) (both libm hypot)"
+    )
+
+
+@pytest.mark.parametrize(
+    "fn, args, dtype",
+    [
+        (math.sin, 1, float),
+        (math.cos, 1, float),
+        (math.hypot, 2, float),
+        (math.atan2, 2, float),
+        (pow, 1, float),
+        (cmath.exp, 1, complex),
+        (cmath.phase, 1, float),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_scalar_equals_the_cpython_function(fn, args, dtype):
+    rng = np.random.default_rng(4)
+    columns = [rng.uniform(-4.0, 4.0, 5000) for _ in range(args)]
+    if dtype is complex or fn is cmath.phase:
+        columns = [columns[0] + 1j * rng.uniform(-4.0, 4.0, 5000)]
+    if fn is pow:
+        columns.append(2)  # x ** 2 as libm pow, a scalar every call receives
+    got = _scalar(fn, *columns, dtype=dtype)
+    lists = [c.tolist() if np.ndim(c) else [c] * 5000 for c in columns]
+    expected = np.array([fn(*xs) for xs in zip(*lists)], dtype=dtype)
+    assert _same_bits(got, expected), _broken(
+        f"rsc._scalar({fn.__name__}, ...) equals CPython's {fn.__name__} element by element"
+    )
+
+
+@pytest.mark.parametrize("objective", [lam_plus_sq, row_norm_sq], ids=lambda f: f.__name__)
+def test_objective_on_a_slice_equals_the_whole_stack(chain, objective):
+    # the lock-step refine evaluates each objective on the rows that use it
+    dec, _ = chain
+    ps = amplitude_grid(dec, 0.05, 1000)
+    mask = np.random.default_rng(5).random(1000) < 0.5
+    assert _same_bits(objective(ps[:, :, mask]), objective(ps)[mask]), _broken(
+        f"{objective.__name__} of a (2, 2, T) slice equals the whole stack's values there"
+    )
+
+
+def test_region_with_one_blas_thread_equals_the_golden(tmp_path):
+    out = tmp_path / "region.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    argv = ["region", "--n", "20", "--model", "nn", "--step", "0.02", "--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "spinrsc", *argv], env=env, capture_output=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    golden = ROOT / "tests" / "golden" / "region_nn_n20_step0.02.csv"
+    assert out.read_bytes() == golden.read_bytes(), _broken(
+        "region output does not depend on the BLAS thread count"
+    )

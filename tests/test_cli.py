@@ -180,12 +180,29 @@ def test_overflowing_time_is_an_error_not_nan(command):
     assert "nan" not in result.stdout.lower()
 
 
+@pytest.mark.parametrize("command", ["amplitudes", "verify"])
+@pytest.mark.parametrize("t", ["1e15", "-1.5e12"])
+def test_time_beyond_the_bound_is_refused(command, t, capsys):
+    # beyond |t| = 1e12 the eigenvalues' rounding moves the phases E t by
+    # more than 1e-4 rad, and by 1e15 P(t) is noise
+    assert main([command, "--n", "9", "--model", "all", f"--t={t}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: time {float(t)!r} is too large")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_time_at_the_bound_is_accepted(capsys):
+    assert main(["amplitudes", "--n", "9", "--model", "all", "--t=-1e12"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"p_nm1_1", "p_nm1_2", "p_n_1", "p_n_2"}
+
+
 def test_verify_fails_when_the_deviation_exceeds_the_gate():
-    # at |E t| ~ 1e15 the eigenvalues' rounding moves every phase by ~0.1 rad,
-    # so the one-excitation amplitudes no longer match the oracle
+    # at |E t| ~ 1e8 the eigenvalues' rounding moves every phase by ~1e-8 rad,
+    # so the one-excitation amplitudes differ from the oracle's by ~2.5e-8
     root = Path(__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "-m", "spinrsc", "verify", "--n", "9", "--model", "all", "--t", "1e15"],
+        [sys.executable, "-m", "spinrsc", "verify", "--n", "9", "--model", "all", "--t", "1e8"],
         capture_output=True,
         text=True,
         cwd=root,

@@ -103,8 +103,8 @@ def test_svd_antidiagonal_column_norms():
     svd = svd_decompose(p)
     assert svd.lam.lam_plus == pytest.approx(0.8, abs=1e-14)
     a = optimal_sender_state(svd)
-    assert abs(a.a1) == pytest.approx(1.0, abs=1e-12)
-    assert abs(a.a2) == pytest.approx(0.0, abs=1e-12)
+    assert abs(a[0]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(a[1]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_svd_reconstruction_and_sampling_bound_at_optimum():
@@ -138,7 +138,7 @@ def test_v0_second_row_is_conjugated_arrival_direction():
     p = amplitude_matrix(dec, t0)
     svd = svd_decompose(p)
     a = optimal_sender_state(svd)
-    f_opt = p @ a.excitation
+    f_opt = p @ a
     expected = f_opt.conj() / np.linalg.norm(f_opt)
     assert np.max(np.abs(svd.v0[1] - expected)) < 1e-10
 
@@ -146,12 +146,11 @@ def test_v0_second_row_is_conjugated_arrival_direction():
 def test_optimal_sender_state_unitary_rows():
     svd = svd_decompose(np.diag([0.2, 0.7]))
     a = optimal_sender_state(svd)
-    assert a.a0 == 0.0
-    assert abs(a.a2) == pytest.approx(1.0, abs=1e-12)
+    assert abs(a[1]) == pytest.approx(1.0, abs=1e-12)
 
     anti = svd_decompose(np.array([[0.0, 0.2], [0.7, 0.0]]))
     a = optimal_sender_state(anti)
-    assert abs(a.a1) == pytest.approx(1.0, abs=1e-12)
+    assert abs(a[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_optimal_sender_state_degenerate_error():
@@ -163,7 +162,7 @@ def test_optimal_sender_beats_basis_columns_long_chain():
     dec = _dec(Coupling.ALL_NODE, 109)
     protocol = optimal_protocol(dec, with_v=True)
     p = amplitude_matrix(dec, protocol.t0)
-    best = np.linalg.norm(p @ protocol.a_opt.excitation) ** 2
+    best = np.linalg.norm(p @ protocol.a_opt) ** 2
     assert best >= np.sum(np.abs(p[:, 0]) ** 2) - 1e-12
     assert best >= np.sum(np.abs(p[:, 1]) ** 2) - 1e-12
     assert best == pytest.approx(protocol.r_max_sq, abs=1e-10)
@@ -457,10 +456,10 @@ def _assert_protocol_rebuilt_from(p: np.ndarray, protocol, label) -> None:
     """``a_opt``, ``svd.v0`` and ``svd.u`` of ``protocol`` from an independent P(t0)."""
     svd = svd_decompose(p)
     if protocol.with_v:
-        a_opt = optimal_sender_state(svd).excitation
+        a_opt = optimal_sender_state(svd)
     else:
         a_opt = p[1].conj() / np.linalg.norm(p[1])
-    assert np.max(np.abs(a_opt - protocol.a_opt.excitation)) <= 1e-12, label
+    assert np.max(np.abs(a_opt - protocol.a_opt)) <= 1e-12, label
     assert np.max(np.abs(svd.v0 - protocol.svd.v0)) <= 1e-12, label
     assert np.max(np.abs(svd.u - protocol.svd.u)) <= 1e-12, label
 
@@ -521,7 +520,7 @@ def test_optimal_sender_certificate_across_sweep():
             p = amplitude_matrix(dec, t0)
             svd = svd_decompose(p)
             a = optimal_sender_state(svd)
-            achieved = float(np.linalg.norm(p @ a.excitation) ** 2)
+            achieved = float(np.linalg.norm(p @ a) ** 2)
             assert achieved == pytest.approx(svd.lam.lam_plus**2, abs=1e-10)
             sampled = sample_max_transfer(
                 p, TransferMode.EXT_RECEIVER_NORM, 10**4, seed=n
@@ -533,10 +532,8 @@ def test_protocol_fields_consistent():
     dec = _dec(Coupling.ALL_NODE, 12)
     protocol = optimal_protocol(dec, with_v=True)
     assert protocol.r_max_sq == pytest.approx(protocol.svd.lam.lam_plus**2, abs=1e-10)
-    assert protocol.a_opt.a0 == 0.0
-    assert abs(protocol.a_opt.a1) ** 2 + abs(protocol.a_opt.a2) ** 2 == pytest.approx(
-        1.0, abs=1e-12
-    )
+    assert protocol.a_opt.shape == (2,) and protocol.a_opt.dtype == complex
+    assert np.sum(np.abs(protocol.a_opt) ** 2) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(protocol.v0, protocol.svd.v0)
 
     no_v = optimal_protocol(dec, with_v=False)
@@ -544,7 +541,7 @@ def test_protocol_fields_consistent():
     assert no_v.r_max_sq == pytest.approx(abs(p[1, 0]) ** 2 + abs(p[1, 1]) ** 2, abs=1e-12)
     assert np.allclose(no_v.v0, np.eye(2))
     # the no-V sender state maximises the receiver-node probability
-    f_n = (p @ no_v.a_opt.excitation)[1]
+    f_n = (p @ no_v.a_opt)[1]
     assert abs(f_n) ** 2 == pytest.approx(no_v.r_max_sq, abs=1e-10)
 
 
@@ -560,10 +557,10 @@ def test_protocol_owns_p_and_a_checked_read_only_rotation():
         block = np.eye(4, dtype=complex)
         block[1:3, 1:3] = protocol.v0
         assert np.array_equal(rotation, block)
-        for array in (protocol.p, rotation, protocol.svd.v0):
+        for array in (protocol.p, rotation, protocol.svd.v0, protocol.a_opt):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0.0
+                array[0] = 0.0
 
 
 def test_svd_v0_is_read_only_in_the_degenerate_case_too():

@@ -220,6 +220,25 @@ def test_full_amplitude_node_label_validation():
         full_transition_amplitude(model, 5, 1, 0.5)
 
 
+@pytest.mark.parametrize("k, j", [(2.5, 1), (4, 1.5), ("3", 1), (4, None)])
+def test_non_integer_node_labels_are_value_errors(k, j):
+    # both amplitude routes, so neither raises numpy's IndexError or a TypeError
+    model = CouplingModel(Coupling.ALL_NODE, 5)
+    with pytest.raises(ValueError, match="node labels must be integers"):
+        full_transition_amplitude(model, k, j, 0.5)
+    with pytest.raises(ValueError, match="node indices must be integers"):
+        transition_amplitude(chain_decomposition(model), k, j, 0.5)
+
+
+def test_numpy_integer_node_labels_are_accepted():
+    model = CouplingModel(Coupling.ALL_NODE, 5)
+    dec = chain_decomposition(model)
+    k, j = np.int64(4), np.int32(1)
+    expected = full_transition_amplitude(model, 4, 1, 0.5)
+    assert full_transition_amplitude(model, k, j, 0.5) == expected
+    assert transition_amplitude(dec, k, j, 0.5) == transition_amplitude(dec, 4, 1, 0.5)
+
+
 def test_single_excitation_reduction_matches_full_space():
     rng = np.random.default_rng(13)
     for kind in Coupling:

@@ -14,21 +14,17 @@ from spinrsc import (
     Coupling,
     CouplingModel,
     CreatableParams,
-    FVector,
     amplitude_matrix,
-    apply_v_and_reduce,
     beta2_coverage,
     chain_decomposition,
-    control_to_amplitudes,
     creatable_params,
     create_state,
-    extended_receiver_density,
     optimal_protocol,
     receiver_from_params,
     region_grid,
-    sender_to_f,
 )
 from spinrsc import rsc
+from spinrsc.rsc import _extended_density, _reduce
 
 
 @functools.lru_cache(maxsize=None)
@@ -48,19 +44,63 @@ def _region_109():
     return region_grid(_protocol(Coupling.ALL_NODE, 109, True), dec, 0.005)
 
 
+def _arrival(p, c: ControlParams) -> tuple[float, complex, complex]:
+    """``(a0, f_nm1, f_n)`` of one control point: its vacuum amplitude and ``P (a1, a2)``."""
+    a0, f = rsc._arrivals(p, np.array([[c.alpha1, c.alpha2, c.phi1, c.phi2]]))
+    return float(a0[0]), complex(f[0, 0, 0]), complex(f[0, 1, 0])
+
+
 def test_control_angles_map_to_amplitudes():
-    s = control_to_amplitudes(ControlParams(1.0, 0.3, 0.7, 0.2))
-    assert s.a0 == pytest.approx(1.0, abs=1e-15)
-    assert abs(s.a1) < 1e-15
-    assert abs(s.a2) < 1e-15
+    eye = np.eye(2, dtype=complex)  # P = 1 passes the sender amplitudes through
+    a0, a1, a2 = _arrival(eye, ControlParams(1.0, 0.3, 0.7, 0.2))
+    assert a0 == pytest.approx(1.0, abs=1e-15)
+    assert abs(a1) < 1e-15
+    assert abs(a2) < 1e-15
 
-    s = control_to_amplitudes(ControlParams(0.0, 0.0, 0.0, 0.9))
-    assert (s.a0, s.a1, s.a2) == (0.0, 1.0 + 0.0j, 0.0j)
+    assert _arrival(eye, ControlParams(0.0, 0.0, 0.0, 0.9)) == (0.0, 1.0 + 0.0j, 0.0j)
 
-    s = control_to_amplitudes(ControlParams(0.0, 1.0, 0.3, 0.25))
-    assert s.a0 == 0.0
-    assert abs(s.a1) < 1e-15
-    assert s.a2 == pytest.approx(1.0j, abs=1e-15)
+    a0, a1, a2 = _arrival(eye, ControlParams(0.0, 1.0, 0.3, 0.25))
+    assert a0 == 0.0
+    assert abs(a1) < 1e-15
+    assert a2 == pytest.approx(1.0j, abs=1e-15)
+
+
+def test_vacuum_sender_is_stationary():
+    p = amplitude_matrix(_dec(Coupling.ALL_NODE, 6), 3.0)
+    a0, f_nm1, f_n = _arrival(p, ControlParams(1.0, 0.4, 0.3, 0.6))  # all weight on |0>
+    assert a0 == 1.0
+    assert abs(f_nm1) < 1e-15 and abs(f_n) < 1e-15
+
+
+def test_arrivals_are_p_times_the_sender_amplitudes():
+    p = amplitude_matrix(_dec(Coupling.ALL_NODE, 6), 3.0)
+    _, f_nm1, f_n = _arrival(p, ControlParams(0.0, 0.0, 0.0, 0.0))  # a = (1, 0)
+    assert (f_nm1, f_n) == pytest.approx((complex(p[0, 0]), complex(p[1, 0])), abs=1e-14)
+    _, f_nm1, f_n = _arrival(p, ControlParams(0.0, 0.5, 0.0, 0.0))  # a = (1, 1) / sqrt(2)
+    expected = (p[:, 0] + p[:, 1]) / math.sqrt(2.0)
+    assert (f_nm1, f_n) == pytest.approx(tuple(expected.tolist()), abs=1e-14)
+    eye = np.eye(2, dtype=complex)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        c = ControlParams(*rng.uniform(0.0, 1.0, size=4))
+        a0, a1, a2 = _arrival(eye, c)
+        assert _arrival(p, c) == pytest.approx((a0, *(p @ [a1, a2]).tolist()), abs=1e-14)
+
+
+def test_create_state_maps_controls_through_the_documented_amplitudes():
+    # with P = 1 and no rotation the receiver holds a2: rho_r[1, 1] = |a2|^2
+    # and rho_r[0, 1] = a0 a2*, with a0, a2 as ControlParams documents them
+    dec = _dec(Coupling.ALL_NODE, 6)
+    identity = dataclasses.replace(_protocol(Coupling.ALL_NODE, 6, False), p=np.eye(2) + 0j)
+    rng = np.random.default_rng(29)
+    for alpha1, alpha2, phi1, phi2 in rng.uniform(0.0, 1.0, size=(50, 4)):
+        a0 = math.sin(alpha1 * math.pi / 2)
+        a2 = math.cos(alpha1 * math.pi / 2) * math.sin(alpha2 * math.pi / 2)
+        a2 *= cmath.exp(2j * math.pi * phi2)
+        rho, _ = create_state(identity, dec, ControlParams(alpha1, alpha2, phi1, phi2))
+        expected = np.array([[1.0 - abs(a2) ** 2, a0 * a2.conjugate()],
+                             [a0 * a2, abs(a2) ** 2]])
+        assert np.max(np.abs(rho - expected)) < 1e-14
 
 
 def test_control_params_range_validation():
@@ -77,41 +117,48 @@ def test_control_params_range_validation():
     phi2=st.floats(0.0, 1.0),
 )
 def test_control_states_are_normalised(alpha1, alpha2, phi1, phi2):
-    s = control_to_amplitudes(ControlParams(alpha1, alpha2, phi1, phi2))
-    norm = s.a0**2 + abs(s.a1) ** 2 + abs(s.a2) ** 2
+    a0, a1, a2 = _arrival(np.eye(2, dtype=complex), ControlParams(alpha1, alpha2, phi1, phi2))
+    norm = a0**2 + abs(a1) ** 2 + abs(a2) ** 2
     assert norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extended_density_pure_cases():
-    rho = extended_receiver_density(FVector(1.0, 0.0j, 0.0j))
+    rho = _extended_density(1.0, 0.0j, 0.0j)
     assert np.allclose(rho, np.diag([1.0, 0.0, 0.0, 0.0]))
-    rho = extended_receiver_density(FVector(0.0, 0.0j, 1.0 + 0.0j))
+    rho = _extended_density(0.0, 0.0j, 1.0 + 0.0j)
     assert np.allclose(rho, np.diag([0.0, 0.0, 1.0, 0.0]))
 
 
 def test_extended_density_structure():
-    f = FVector(0.6, 0.3 + 0.2j, -0.1 + 0.5j)
-    rho = extended_receiver_density(f)
+    a0, f_nm1, f_n = 0.6, 0.3 + 0.2j, -0.1 + 0.5j
+    rho = _extended_density(a0, f_nm1, f_n)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.abs(rho[3]) == 0.0)
     assert np.all(np.abs(rho[:, 3]) == 0.0)
-    assert rho[0, 1] == pytest.approx(f.f0 * f.f_nm1.conjugate(), abs=1e-15)
-    assert rho[1, 2] == pytest.approx(f.f_nm1 * f.f_n.conjugate(), abs=1e-15)
+    assert rho[0, 1] == pytest.approx(a0 * f_nm1.conjugate(), abs=1e-15)
+    assert rho[1, 2] == pytest.approx(f_nm1 * f_n.conjugate(), abs=1e-15)
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
+
+
+def test_extended_density_holds_the_transfer_probability():
+    rho = _extended_density(0.6, 0.0j, 0.8j)
+    assert 1.0 - rho[0, 0].real == pytest.approx(0.64)
+    assert rho[1, 1] + rho[2, 2] == pytest.approx(0.64)
 
 
 def test_extended_density_rejects_unphysical_amplitudes():
     with pytest.raises(ValueError, match="exceeds 1"):
-        extended_receiver_density(FVector(1.0, 0.5 + 0.0j, 0.0j))
+        _extended_density(1.0, 0.5 + 0.0j, 0.0j)
+    # a P that amplifies, so the arrival amplitudes outweigh the sender's
+    loud = dataclasses.replace(_protocol(Coupling.ALL_NODE, 6, True), p=2.0 * np.eye(2) + 0j)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        create_state(loud, _dec(Coupling.ALL_NODE, 6), ControlParams(0.5, 0.5, 0.0, 0.0))
 
 
 def test_extended_density_eigenvalues_match_closed_form_at_optimum():
     protocol = _protocol(Coupling.ALL_NODE, 5, True)
-    dec = _dec(Coupling.ALL_NODE, 5)
-    p = amplitude_matrix(dec, protocol.t0)
-    f = sender_to_f(p, protocol.a_opt)
-    rho = extended_receiver_density(f)
+    rho = _extended_density(0.0, *(protocol.p @ protocol.a_opt).tolist())
     eigs = np.sort(np.linalg.eigvalsh(rho))
     r_sq = protocol.r_max_sq
     expected = np.sort([0.0, 0.0, 1.0 - r_sq, r_sq])
@@ -125,29 +172,25 @@ def test_extended_eigenvalues_match_direct_diagonalisation():
     dec = _dec(Coupling.ALL_NODE, 8)
     p = amplitude_matrix(dec, 9.0)
     for _ in range(200):
-        c = ControlParams(*rng.uniform(0.0, 1.0, size=4))
-        f = sender_to_f(p, control_to_amplitudes(c))
-        rho = extended_receiver_density(f)
+        a0, f_nm1, f_n = _arrival(p, ControlParams(*rng.uniform(0.0, 1.0, size=4)))
+        rho = _extended_density(a0, f_nm1, f_n)
         eigs = np.sort(np.linalg.eigvalsh(rho))[::-1]
-        r_sq = f.transfer_sq
-        disc = math.sqrt((1.0 - 2.0 * r_sq) ** 2 + 4.0 * r_sq * f.f0**2)
+        r_sq = abs(f_nm1) ** 2 + abs(f_n) ** 2
+        disc = math.sqrt((1.0 - 2.0 * r_sq) ** 2 + 4.0 * r_sq * a0**2)
         plus, minus = 0.5 * (1.0 + disc), 0.5 * (1.0 - disc)
         assert eigs[0] == pytest.approx(plus, abs=1e-10)
         assert eigs[1] == pytest.approx(minus, abs=1e-10)
 
 
 def test_reduce_without_rotation_keeps_last_node():
-    rho_ext = extended_receiver_density(FVector(0.0, 0.0j, 1.0 + 0.0j))
-    rho = apply_v_and_reduce(rho_ext, np.eye(2))
+    rho = _reduce(_extended_density(0.0, 0.0j, 1.0 + 0.0j), np.eye(4))
     assert np.allclose(rho, np.diag([0.0, 1.0]))
 
 
 def test_reduce_with_optimal_rotation_diagonalises():
     protocol = _protocol(Coupling.ALL_NODE, 6, True)
-    dec = _dec(Coupling.ALL_NODE, 6)
-    p = amplitude_matrix(dec, protocol.t0)
-    f = sender_to_f(p, protocol.a_opt)
-    rho = apply_v_and_reduce(extended_receiver_density(f), protocol.v0)
+    rho_ext = _extended_density(0.0, *(protocol.p @ protocol.a_opt).tolist())
+    rho = _reduce(rho_ext, protocol.rotation)
     target = np.diag([1.0 - protocol.r_max_sq, protocol.r_max_sq])
     assert np.max(np.abs(rho - target)) < 1e-10
 
@@ -157,22 +200,15 @@ def test_reduce_matches_transformed_amplitude():
     # coherence is f0 times its conjugate
     protocol = _protocol(Coupling.ALL_NODE, 7, True)
     dec = _dec(Coupling.ALL_NODE, 7)
-    p = amplitude_matrix(dec, protocol.t0)
     rng = np.random.default_rng(41)
     for _ in range(50):
         c = ControlParams(*rng.uniform(0.0, 1.0, size=4))
-        f = sender_to_f(p, control_to_amplitudes(c))
-        rho = apply_v_and_reduce(extended_receiver_density(f), protocol.v0)
-        g = protocol.v0 @ np.array([f.f_nm1, f.f_n])
+        a0, f_nm1, f_n = _arrival(protocol.p, c)
+        rho, _ = create_state(protocol, dec, c)
+        g = protocol.v0 @ np.array([f_nm1, f_n])
         z = complex(g[1]).conjugate()
         assert rho[1, 1].real == pytest.approx(abs(z) ** 2, abs=1e-10)
-        assert rho[0, 1] == pytest.approx(f.f0 * z, abs=1e-10)
-
-
-def test_reduce_rejects_non_unitary():
-    rho_ext = extended_receiver_density(FVector(1.0, 0.0j, 0.0j))
-    with pytest.raises(ValueError, match="unitary"):
-        apply_v_and_reduce(rho_ext, np.array([[1.0, 0.0], [0.0, 0.5]]))
+        assert rho[0, 1] == pytest.approx(a0 * z, abs=1e-10)
 
 
 def test_creatable_params_trivial_cases():
@@ -249,10 +285,10 @@ def test_pipeline_states_are_physical():
 def test_optimal_point_pinning():
     protocol = _protocol(Coupling.ALL_NODE, 20, True)
     dec = _dec(Coupling.ALL_NODE, 20)
-    a = protocol.a_opt
-    alpha2 = 2.0 / math.pi * math.atan2(abs(a.a2), abs(a.a1))
-    phi1 = (cmath.phase(a.a1) / (2.0 * math.pi)) % 1.0
-    phi2 = (cmath.phase(a.a2) / (2.0 * math.pi)) % 1.0
+    a1, a2 = protocol.a_opt.tolist()
+    alpha2 = 2.0 / math.pi * math.atan2(abs(a2), abs(a1))
+    phi1 = (cmath.phase(a1) / (2.0 * math.pi)) % 1.0
+    phi2 = (cmath.phase(a2) / (2.0 * math.pi)) % 1.0
     rho, cp = create_state(protocol, dec, ControlParams(0.0, alpha2, phi1, phi2))
     assert rho[1, 1].real == pytest.approx(protocol.r_max_sq, abs=1e-10)
     assert cp.lam == pytest.approx(
@@ -380,15 +416,25 @@ def test_beta2_coverage_undefined_without_vacuum_weight():
     assert report.max_gap is None
 
 
+def _old_sender(c: ControlParams) -> tuple[float, complex, complex]:
+    """Sender amplitudes ``(a0, a1, a2)`` as the per-point path makes them."""
+    half1 = 0.5 * math.pi * c.alpha1
+    half2 = 0.5 * math.pi * c.alpha2
+    a0 = math.sin(half1)
+    a1 = math.cos(half1) * math.cos(half2) * cmath.exp(2j * math.pi * c.phi1)
+    a2 = math.cos(half1) * math.sin(half2) * cmath.exp(2j * math.pi * c.phi2)
+    return a0, a1, a2
+
+
 def _scalar_beta2_coverage(protocol, dec, alpha1, alpha2, phi_samples):
     """The per-point coverage loop, kept as the reference for the batched one."""
     p = amplitude_matrix(dec, protocol.t0)
     betas = np.empty(phi_samples)
     for k in range(phi_samples):
-        c = ControlParams(alpha1, alpha2, 0.0, k / phi_samples)
-        f = sender_to_f(p, control_to_amplitudes(c))
-        g = protocol.v0 @ np.array([f.f_nm1, f.f_n])
-        if f.f0 == 0.0 or abs(g[1]) <= 1e-12:
+        a0, a1, a2 = _old_sender(ControlParams(alpha1, alpha2, 0.0, k / phi_samples))
+        f = p @ np.array([a1, a2], dtype=complex)
+        g = protocol.v0 @ np.array([complex(f[0]), complex(f[1])])
+        if a0 == 0.0 or abs(g[1]) <= 1e-12:
             return None
         betas[k] = (cmath.phase(complex(g[1])) / (2.0 * math.pi)) % 1.0
     betas.sort()
@@ -422,7 +468,6 @@ def test_beta2_coverage_sample_validation():
 def test_beta2_matches_creatable_params_when_vacuum_weight_present():
     protocol = _protocol(Coupling.ALL_NODE, 9, True)
     dec = _dec(Coupling.ALL_NODE, 9)
-    p = amplitude_matrix(dec, protocol.t0)
     rng = np.random.default_rng(67)
     for _ in range(25):
         c = ControlParams(
@@ -431,12 +476,11 @@ def test_beta2_matches_creatable_params_when_vacuum_weight_present():
             0.0,
             float(rng.uniform(0.0, 1.0)),
         )
-        f = sender_to_f(p, control_to_amplitudes(c))
-        g = protocol.v0 @ np.array([f.f_nm1, f.f_n])
+        _, f_nm1, f_n = _arrival(protocol.p, c)
+        g = protocol.v0 @ np.array([f_nm1, f_n])
         if abs(g[1]) < 1e-8:
             continue
-        rho = apply_v_and_reduce(extended_receiver_density(f), protocol.v0)
-        cp = creatable_params(rho)
+        _, cp = create_state(protocol, dec, c)
         beta2_direct = (cmath.phase(complex(g[1])) / (2.0 * math.pi)) % 1.0
         gap = abs(cp.beta2 - beta2_direct)
         assert min(gap, 1.0 - gap) <= 1e-12  # the two phases differ in the last bit at most
@@ -452,13 +496,32 @@ def test_receiver_from_params_is_density_matrix():
 
 
 def _old_create_state(protocol, dec, controls):
-    """The per-point path before the protocol owned P(t0) and its rotation, inlined."""
-    f = sender_to_f(amplitude_matrix(dec, protocol.t0), control_to_amplitudes(controls))
+    """The staged per-point path before the protocol owned P(t0) and its rotation, inlined.
+
+    Control angles to sender amplitudes, ``f = P (a1, a2)``, the 4x4
+    extended-receiver state filled entry by entry, ``diag(1, v0, 1)`` and
+    the partial trace over node N-1.
+    """
+    a0, a1, a2 = _old_sender(controls)
+    f = amplitude_matrix(dec, protocol.t0) @ np.array([a1, a2], dtype=complex)
+    f_nm1, f_n = complex(f[0]), complex(f[1])
+    occupied = abs(f_nm1) ** 2 + abs(f_n) ** 2
+    assert a0**2 + occupied <= 1.0 + 1e-9
+    rho_ext = np.zeros((4, 4), dtype=complex)
+    rho_ext[0, 0] = 1.0 - occupied
+    rho_ext[1, 1] = abs(f_nm1) ** 2
+    rho_ext[2, 2] = abs(f_n) ** 2
+    rho_ext[0, 1] = a0 * f_nm1.conjugate()
+    rho_ext[0, 2] = a0 * f_n.conjugate()
+    rho_ext[1, 2] = f_nm1 * f_n.conjugate()
+    rho_ext[1, 0] = rho_ext[0, 1].conjugate()
+    rho_ext[2, 0] = rho_ext[0, 2].conjugate()
+    rho_ext[2, 1] = rho_ext[1, 2].conjugate()
     v0 = np.asarray(protocol.v0, dtype=complex)
     assert float(np.max(np.abs(v0 @ v0.conj().T - np.eye(2)))) <= 1e-8
     v = np.eye(4, dtype=complex)
     v[1:3, 1:3] = v0
-    m = v @ extended_receiver_density(f) @ v.conj().T
+    m = v @ rho_ext @ v.conj().T
     rho_r = np.array(
         [
             [m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]],
