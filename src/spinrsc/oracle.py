@@ -15,8 +15,8 @@ space still open after n vectors is an error, so agreement with the
 spectral-sum amplitudes validates the single-excitation reduction end to
 end.  Only the rows of ``V S`` on the vacuum and the n one-excitation
 states are kept.  The sampling maximiser gives an independent lower bound
-on the best transfer probability that the SVD route must dominate; it
-evaluates ``|R a|^2 / |a|^2`` as a real quadratic form of the Gaussian draws.
+on the best transfer probability that the SVD route must dominate; it draws
+senders from Marsaglia's unit disc and evaluates ``|R a|^2`` as a real form.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ MAX_DENSE_NODES = 12
 # Lanczos stops once the new residual falls below this fraction of |H v|.
 # Closing residuals measure ~1e-31 for n <= 18; the genuine ones stay above 0.04.
 BREAKDOWN_TOL = 1e-12
-SAMPLE_CHUNK = 1 << 14  # sender vectors drawn and evaluated at a time
+SAMPLE_CHUNK = 1 << 14  # candidate disc points drawn and evaluated at a time
 
 __all__ = [
     "TransferMode",
@@ -165,15 +165,21 @@ def sample_max_transfer(
 ) -> float:
     """Best transfer probability ``|R a|^2`` over Haar-random unit sender vectors.
 
-    ``R`` is ``p`` for ``EXT_RECEIVER_NORM`` and its bottom row for
-    ``LAST_NODE_ONLY``; ``p`` must be a finite 2x2 matrix.  A sender
-    ``a = x + i y`` is a pair of complex Gaussians, drawn ``SAMPLE_CHUNK`` at
-    a time from ``numpy.random.default_rng(seed)`` into two reused real
-    buffers, real parts first.  ``|R a|^2 / |a|^2 = a^H M a / |a|^2`` with
-    the Hermitian ``M = R^H R`` is evaluated as a real quadratic form in
-    ``x`` and ``y``, so no complex array is formed and nothing is
-    normalised.  The result is deterministic for a given seed.
+    ``R`` is ``p`` (a finite 2x2 matrix) for ``EXT_RECEIVER_NORM`` and its
+    bottom row for ``LAST_NODE_ONLY``; ``mode`` may be a member or its value.
+    Senders come from Marsaglia's disc: each chunk draws ``SAMPLE_CHUNK``
+    points ``(u, v)`` uniform in [-1, 1)^2 (all u, then all v) from
+    ``numpy.random.default_rng(seed)`` and keeps those with ``s = u^2 + v^2 < 1``,
+    up to ``samples`` in all.  ``a = (sqrt(1 - s), u + i v)`` is a unit
+    sender, Haar-random up to phase (``|a1|^2 = s`` is uniform on [0, 1],
+    ``arg a1`` uniform and independent), and ``|R a|^2 = a^H M a`` with
+    ``M = R^H R`` is the real form ``m00 + (m11 - m00) s + 2 sqrt(1 - s)
+    (Re m01 u - Im m01 v)``.  The result is deterministic for a given seed.
     """
+    try:
+        samples, seed = operator.index(samples), operator.index(seed)
+    except TypeError:
+        raise ValueError(f"samples and seed must be integers, got {samples!r}, {seed!r}") from None
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     p = np.asarray(p, dtype=complex)
@@ -181,23 +187,22 @@ def sample_max_transfer(
         raise ValueError(f"p must be a 2x2 matrix, got shape {p.shape}")
     if not np.isfinite(p).all():
         raise ValueError("p must be finite")
-    r = p if mode is TransferMode.EXT_RECEIVER_NORM else p[1:]
+    r = p if TransferMode(mode) is TransferMode.EXT_RECEIVER_NORM else p[1:]
     m = r.conj().T @ r
     m00, m11, re01, im01 = m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag
     rng = np.random.default_rng(seed)
-    x, y = np.empty((SAMPLE_CHUNK, 2)), np.empty((SAMPLE_CHUNK, 2))
+    cand, kept = np.empty((3, SAMPLE_CHUNK)), np.empty(3 * SAMPLE_CHUNK)  # rows u, v, s
     best = 0.0
     remaining = samples
     while remaining:
-        count = min(remaining, SAMPLE_CHUNK)
-        rng.standard_normal(out=x[:count])
-        rng.standard_normal(out=y[:count])
-        x0, x1, y0, y1 = x[:count, 0], x[:count, 1], y[:count, 0], y[:count, 1]
-        s0 = x0 * x0 + y0 * y0
-        s1 = x1 * x1 + y1 * y1
-        # Re(conj(a0) m01 a1) with conj(a0) a1 = x0 x1 + y0 y1 + i (x0 y1 - y0 x1)
-        cross = re01 * (x0 * x1 + y0 * y1) - im01 * (x0 * y1 - y0 * x1)
-        vals = (m00 * s0 + m11 * s1 + 2.0 * cross) / (s0 + s1)
+        rng.random(out=cand[:2])
+        cand[:2] *= 2.0
+        cand[:2] -= 1.0
+        np.add(cand[0] ** 2, cand[1] ** 2, out=cand[2])
+        inside = cand[2] < 1.0
+        count = int(np.count_nonzero(inside))
+        u, v, s = np.compress(inside, cand, 1, kept[: 3 * count].reshape(3, count))[:, :remaining]
+        vals = m00 + (m11 - m00) * s + 2.0 * np.sqrt(1.0 - s) * (re01 * u - im01 * v)
         best = max(best, float(vals.max()))
-        remaining -= count
+        remaining -= len(vals)
     return best

@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -349,6 +350,10 @@ def beta2_coverage(
 
     ``max_gap`` is the largest circular gap between sorted beta2 values.
     """
+    try:
+        phi_samples = operator.index(phi_samples)
+    except TypeError:
+        raise ValueError(f"phi_samples must be an integer, got {phi_samples!r}") from None
     if phi_samples < 1:
         raise ValueError(f"phi_samples must be >= 1, got {phi_samples}")
     ControlParams(alpha1, alpha2, 0.0, 0.0)  # range check of the fixed angles

@@ -285,6 +285,41 @@ def test_sampling_deterministic_given_seed():
 def test_sampling_validation():
     with pytest.raises(ValueError, match="samples"):
         sample_max_transfer(np.zeros((2, 2)), TransferMode.EXT_RECEIVER_NORM, 0, 0)
+    p = np.full((2, 2), 0.1)
+    numpy_ints = sample_max_transfer(p, TransferMode.EXT_RECEIVER_NORM, np.int64(100), np.int32(4))
+    assert numpy_ints == sample_max_transfer(p, TransferMode.EXT_RECEIVER_NORM, 100, 4)
+
+
+@pytest.mark.parametrize("samples, seed", [(2.5, 0), (100.0, 0), ("100", 0), (100, 1.5), (100, None)])
+def test_sampling_wants_integer_samples_and_seed(samples, seed):
+    p = np.full((2, 2), 0.1)
+    with pytest.raises(ValueError, match="integers"):
+        sample_max_transfer(p, TransferMode.EXT_RECEIVER_NORM, samples, seed)
+
+
+def test_sampling_mode_is_a_member_or_its_value():
+    p = np.array([[0.6, 0.0], [0.0, 0.1]])
+    for mode in TransferMode:
+        assert sample_max_transfer(p, mode.value, 500, 8) == sample_max_transfer(p, mode, 500, 8)
+    assert sample_max_transfer(p, "ext", 500, 8) > 0.3 > sample_max_transfer(p, "last", 500, 8)
+    for bad in ("EXT", "first", None, 0):
+        with pytest.raises(ValueError, match="TransferMode"):
+            sample_max_transfer(p, bad, 500, 8)
+
+
+def test_sampled_senders_are_haar_random():
+    # p = lam e0 w^H gives |R a|^2 = lam^2 |w^H a|^2, which is U[0, 1] times lam^2 for
+    # Haar senders, so (N + 1)(lam^2 - best) / lam^2 has mean 1 and standard deviation
+    # about 1; a sender law that is not uniform on the Bloch sphere shifts the mean.
+    rng = np.random.default_rng(41)
+    lam, draws, seeds = 0.8, 200, 400
+    scaled = []
+    for seed in range(seeds):
+        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        p = lam * np.outer([1.0, 0.0], (w / np.linalg.norm(w)).conj())
+        best = sample_max_transfer(p, TransferMode.EXT_RECEIVER_NORM, draws, seed)
+        scaled.append((draws + 1) * (lam**2 - best) / lam**2)
+    assert abs(np.mean(scaled) - 1.0) <= 5.0 * np.std(scaled) / np.sqrt(seeds)
 
 
 @pytest.mark.parametrize("p", [np.full((3, 2), 0.1), np.full((2, 3), 0.1), np.full(4, 0.1)])
@@ -304,16 +339,18 @@ def test_sampling_rejects_a_p_that_is_not_finite(bad):
 
 
 def _explicit_sampled_max(p: np.ndarray, mode: TransferMode, samples: int, seed: int) -> float:
-    """``max |R a|^2 / |a|^2`` over the sampler's draws, with complex senders formed."""
+    """``max |R a|^2`` over the sampler's disc draws, with complex unit senders formed."""
     r = p if mode is TransferMode.EXT_RECEIVER_NORM else p[1:]
     rng = np.random.default_rng(seed)
-    best = 0.0
-    for start in range(0, samples, oracle.SAMPLE_CHUNK):
-        count = min(samples - start, oracle.SAMPLE_CHUNK)
-        real = rng.standard_normal((count, 2))
-        a = real + 1j * rng.standard_normal((count, 2))
-        vals = np.sum(np.abs(a @ r.T) ** 2, axis=1) / np.sum(np.abs(a) ** 2, axis=1)
+    best, remaining = 0.0, samples
+    while remaining:
+        u, v = 2.0 * rng.random((2, oracle.SAMPLE_CHUNK)) - 1.0
+        inside = u**2 + v**2 < 1.0
+        a1 = (u[inside] + 1j * v[inside])[:remaining]
+        a = np.stack([np.sqrt(1.0 - np.abs(a1) ** 2), a1], axis=1)
+        vals = np.sum(np.abs(a @ r.T) ** 2, axis=1)
         best = max(best, float(vals.max()))
+        remaining -= len(a1)
     return best
 
 

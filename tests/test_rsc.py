@@ -461,8 +461,11 @@ def test_beta2_coverage_equals_scalar_loop(kind, with_v):
 def test_beta2_coverage_sample_validation():
     protocol = _protocol(Coupling.ALL_NODE, 10, True)
     dec = _dec(Coupling.ALL_NODE, 10)
-    with pytest.raises(ValueError, match="phi_samples"):
-        beta2_coverage(protocol, dec, 0.0, 0.5, 0)
+    for bad in (0, 2.5, 3.0, "3", None):
+        with pytest.raises(ValueError, match="phi_samples"):
+            beta2_coverage(protocol, dec, 0.0, 0.5, bad)
+    report = beta2_coverage(protocol, dec, 0.3, 0.5, np.int64(7))
+    assert report.beta2.shape == (7,)
 
 
 def test_beta2_matches_creatable_params_when_vacuum_weight_present():
