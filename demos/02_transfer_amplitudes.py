@@ -14,21 +14,21 @@ import numpy as np
 from spinrsc import (
     Coupling,
     CouplingModel,
-    amplitude_series,
     chain_decomposition,
     transition_amplitude,
 )
+from spinrsc.propagate import amplitude_grid
 
 
 def main():
     n = 12
     dec = chain_decomposition(CouplingModel(Coupling.ALL_NODE, n))
-    ts = np.linspace(0.0, 2.0 * n, 13)
-    series = amplitude_series(dec, ts)
+    step, count = 2.0, 13  # t = 0, 2, ..., 2 n
+    series = amplitude_grid(dec, step, count)
 
     print(f"all-node chain, n = {n}; excitation starts on node 1")
     print(f"{'t':>6}  {'|p_(N-1)1|^2':>12}  {'|p_N1|^2':>10}")
-    for i, t in enumerate(ts):
+    for i, t in enumerate(step * np.arange(count)):
         p_nm1 = abs(series[0, 0, i]) ** 2
         p_n = abs(series[1, 0, i]) ** 2
         print(f"{t:6.1f}  {p_nm1:12.6f}  {p_n:10.6f}")

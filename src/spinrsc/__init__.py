@@ -35,7 +35,6 @@ from .optimize import (
     critical_length,
     lam_plus_sq,
     maximize_over_time,
-    objective_series,
     optimal_protocol,
     optimal_sender_state,
     row_norm_sq,
@@ -44,13 +43,11 @@ from .optimize import (
 )
 from .oracle import (
     TransferMode,
-    full_hamiltonian,
     full_transition_amplitude,
     sample_max_transfer,
 )
 from .propagate import (
     amplitude_matrix,
-    amplitude_series,
     transition_amplitude,
 )
 from .rsc import (

@@ -44,12 +44,13 @@ class Coupling(enum.Enum):
 
 @dataclass(frozen=True)
 class CouplingModel:
-    """A homogeneous chain: coupling kind plus chain length."""
+    """A homogeneous chain: coupling kind (a ``Coupling`` or its value) plus chain length."""
 
     kind: Coupling
     n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", Coupling(self.kind))
         try:
             operator.index(self.n)  # Python and numpy integers only
         except TypeError:

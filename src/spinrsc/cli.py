@@ -25,7 +25,7 @@ from .optimize import (
     sweep,
 )
 from .oracle import full_transition_amplitude
-from .propagate import amplitude_matrix, transition_amplitude
+from .propagate import amplitude_matrix
 from .rsc import ControlParams, create_state, region_grid
 
 __all__ = ["main", "entry"]
@@ -93,7 +93,7 @@ def _check_time(t: float) -> None:
 
 def _chain(args):
     """Decomposition of the chain named by the ``--model`` and ``--n`` flags."""
-    return chain_decomposition(CouplingModel(Coupling(args.model), args.n))
+    return chain_decomposition(CouplingModel(args.model, args.n))
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
@@ -102,7 +102,7 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
 
 
 def _cmd_hamiltonian(args) -> int:
-    h = build_hamiltonian(build_couplings(CouplingModel(Coupling(args.model), args.n)))
+    h = build_hamiltonian(build_couplings(CouplingModel(args.model, args.n)))
     for row in h:
         print(",".join(_fmt(float(x)) for x in row))
     return 0
@@ -186,12 +186,12 @@ def _cmd_create(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_time(args.t)
-    model = CouplingModel(Coupling(args.model), args.n)
+    model = CouplingModel(args.model, args.n)
+    # P row-major, as amplitude_matrix lays it out: (N-1, N) x (1, 2)
     pairs = [(k, j) for k in (model.n - 1, model.n) for j in (1, 2)]
     # the oracle rejects chains beyond its size cap, so it runs before the eigensolve
     full = [full_transition_amplitude(model, k, j, args.t) for k, j in pairs]
-    dec = chain_decomposition(model)
-    fast = [transition_amplitude(dec, k, j, args.t) for k, j in pairs]
+    fast = amplitude_matrix(chain_decomposition(model), args.t).flat
     deviation = max(abs(a - b) for a, b in zip(fast, full))
     print(f"max_deviation {_fmt(deviation)}")
     if not deviation <= VERIFY_TOL:

@@ -10,7 +10,8 @@ variant's objective: :func:`lam_plus_sq` with the receiver-side unitary,
 :func:`row_norm_sq` without it.  An objective is a function of a
 ``(2, 2, T)`` stack of P matrices, so one stack on a uniform grid serves
 every objective of a chain in a single coarse scan, and one golden-section
-search refines the scanned brackets of many chains in lock step.
+search refines the scanned brackets of many chains in lock step.  The scan
+reads ``amplitude_grid``, the refine the single-time ``amplitude_matrix`` products.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .chain import Coupling, CouplingModel, SpectralDecomposition, chain_decomposition
 from .errors import DegenerateProtocolError, MaximumNotFoundError, SpinRscError
-from .propagate import _p_stack, amplitude_grid, amplitude_matrix, amplitude_series
+from .propagate import _p_stack, amplitude_grid, amplitude_matrix
 
 COARSE_STEP = 0.05
 REFINE_TOL = 1e-8
@@ -54,7 +55,6 @@ __all__ = [
     "optimal_sender_state",
     "lam_plus_sq",
     "row_norm_sq",
-    "objective_series",
     "maximize_over_time",
     "optimal_protocol",
     "sweep",
@@ -167,15 +167,6 @@ ObjectiveFn = Callable[[np.ndarray], np.ndarray]
 def _objective(with_v: bool) -> ObjectiveFn:
     """The objective of a protocol variant, with or without the receiver-side unitary."""
     return lam_plus_sq if with_v else row_norm_sq
-
-
-def objective_series(dec: SpectralDecomposition, objective: ObjectiveFn, ts) -> np.ndarray:
-    """Evaluate the transfer objective at each time in ``ts``.
-
-    ``objective`` maps a ``(2, 2, T)`` stack of P matrices to T values, e.g.
-    :func:`lam_plus_sq` or :func:`row_norm_sq`.
-    """
-    return np.asarray(objective(amplitude_series(dec, ts)), dtype=float)
 
 
 def _brackets(
@@ -412,9 +403,10 @@ def sweep(ns: Iterable[int], models: Iterable[SweepModel]) -> list[SweepRow]:
     per chain length: ``all`` and ``all+v`` read the same P stack.  Only the
     spectrum and the P weights of each chain outlive its scan, and one
     lock-step golden-section search then refines the brackets of every row.
+    A model is a :class:`SweepModel` member or its label.
     """
     ns = list(ns)
-    models = list(dict.fromkeys(models))  # a repeated model gets one row per length
+    models = list(dict.fromkeys(map(SweepModel, models)))  # one row per distinct model
     if not ns:
         raise ValueError("no chain lengths to sweep: the range is empty")
     if not models:

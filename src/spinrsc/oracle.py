@@ -5,7 +5,7 @@ states, with no reference to excitation-number structure.  For every
 coupled pair of nodes i < j it swaps an excitation between bits i and j
 with the matrix element d_ij / 2.  ``_apply`` adds each such term through
 strided views of the 2^N vector and is the one encoding of that action;
-``full_hamiltonian`` is its image of every basis state.
+no dense 2^N x 2^N matrix is ever formed.
 ``full_transition_amplitude`` runs Lanczos from |j> with full
 reorthogonalisation until the Krylov space closes (beta ~ 0); on that
 invariant space ``exp(-i H t)|j> = V S exp(-i Lambda t) S^T e1`` holds
@@ -31,7 +31,6 @@ from .chain import Coupling, CouplingModel, build_couplings
 from .errors import SpinRscError
 
 MAX_FULL_NODES = 18
-MAX_DENSE_NODES = 12
 # Lanczos stops once the new residual falls below this fraction of |H v|.
 # Closing residuals measure ~1e-31 for n <= 18; the genuine ones stay above 0.04.
 BREAKDOWN_TOL = 1e-12
@@ -40,7 +39,6 @@ SAMPLE_CHUNK = 1 << 14  # candidate disc points drawn and evaluated at a time
 __all__ = [
     "TransferMode",
     "basis_index",
-    "full_hamiltonian",
     "full_transition_amplitude",
     "sample_max_transfer",
 ]
@@ -64,21 +62,6 @@ def _coupled_pairs(model: CouplingModel) -> list[tuple[int, int, float]]:
         for j in range(i + 1, model.n)
         if d[i, j] != 0.0
     ]
-
-
-def full_hamiltonian(model: CouplingModel) -> np.ndarray:
-    """Dense 2^N x 2^N chain Hamiltonian, ``_apply`` of every basis state."""
-    if model.n > MAX_DENSE_NODES:
-        raise ValueError(
-            f"dense full-space Hamiltonian is limited to n <= {MAX_DENSE_NODES}, got {model.n}"
-        )
-    pairs, dim = _coupled_pairs(model), 1 << model.n
-    h, unit = np.empty((dim, dim)), np.zeros(dim)
-    for state in range(dim):
-        unit[state] = 1.0
-        _apply(pairs, model.n, unit, h[state])  # H|state>; H is real symmetric
-        unit[state] = 0.0
-    return h
 
 
 def _apply(pairs, n: int, v: np.ndarray, out: np.ndarray) -> None:

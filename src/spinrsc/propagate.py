@@ -5,11 +5,12 @@ chain eigenpairs, so thousands of time samples reuse a single dense
 eigensolve.  The 2x2 block from the sender nodes (1, 2) to the
 extended-receiver nodes (N-1, N) is the matrix ``P``: a sender state with
 excitation amplitudes ``(a1, a2)`` arrives as ``f = P (a1, a2)^T``, while the
-vacuum amplitude ``f0`` stays equal to ``a0``.  Every single-time ``P`` is
-one ``(4, n) @ (n, 1)`` product of the weights the decomposition owns and
-the phases of that time.  A uniform grid (:func:`amplitude_grid`) factors
-its phases into block heads times one shared table instead, so it needs far
-fewer complex exponentials than it has points.
+vacuum amplitude ``f0`` stays equal to ``a0``.  Every single-time ``P``,
+from :func:`amplitude_matrix` (protocol, creation map, ``verify``) or from
+the refine's probe, is one ``(4, n) @ (n, 1)`` product of the weights the
+decomposition owns and the phases of that time.  A uniform grid
+(:func:`amplitude_grid`) factors its phases into block heads times one
+shared table instead, so it needs far fewer complex exponentials than points.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ GRID_BLOCK = 64  # grid points sharing one block phase in amplitude_grid
 
 __all__ = [
     "transition_amplitude",
-    "amplitude_series",
     "amplitude_grid",
     "amplitude_matrix",
 ]
@@ -54,16 +54,6 @@ def _p_stack(runs) -> np.ndarray:
     """
     ps = np.concatenate([weights @ phases[:, :, None] for weights, phases in runs])
     return np.ascontiguousarray(ps.reshape(-1, 4).T).reshape(2, 2, -1)
-
-
-def amplitude_series(dec: SpectralDecomposition, ts) -> np.ndarray:
-    """The matrix ``P(t)`` for every ``t`` in ``ts``, shape ``(2, 2, len(ts))``.
-
-    Rows are the destinations (N-1, N), columns the sources (1, 2).  Each
-    time makes the product :func:`amplitude_matrix` makes, so a column equals
-    :func:`amplitude_matrix` at that time bit for bit.
-    """
-    return _p_stack([(dec.weights, np.exp(-1j * np.outer(ts, dec.energies)))])
 
 
 def amplitude_grid(dec: SpectralDecomposition, step: float, count: int) -> np.ndarray:

@@ -36,8 +36,6 @@ import numpy as np
 
 from .chain import SpectralDecomposition
 from .optimize import OptimalProtocol
-# bench/spans.py wraps rsc.amplitude_matrix, so the name stays importable here
-from .propagate import amplitude_matrix  # noqa: F401
 
 CONSTRAINT_TOL = 1e-9
 CHUNK_POINTS = 2048  # region_grid's batch size in points, rounded down to whole alpha1 lines

@@ -2,16 +2,16 @@
 
 ``bench/spans.py`` wraps the functions in its ``TARGETS`` table and skips
 any that are missing, so a renamed or deleted function would only show up
-as a zero in a traced run.  ``bench/workloads.py`` calls the library names
-listed here directly, with the argument shapes bound below.
+as a zero in a traced run.  The targets in ``RETIRED`` are the exception:
+each names a deleted function and must stay deleted.  ``bench/workloads.py``
+calls the library names listed here directly, with the argument shapes
+bound below.
 """
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
-
-import numpy as np
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -43,15 +43,48 @@ def _span_targets():
     return [(entry.elts[0].value, entry.elts[1].value) for entry in table.elts]
 
 
+# Span targets whose names the package deleted; their spans read as zero
+# until the benchmark drops them.  Each maps to the reason it is gone.
+RETIRED = {
+    ("spinrsc.oracle", "full_hamiltonian"): "the dense 2^N build only tests used; "
+    "they build H from the strided and flip-index applies",
+    ("spinrsc.optimize", "objective_series"): "no package caller; the scan reads "
+    "amplitude_grid and the refine its own probe",
+    ("spinrsc.optimize", "amplitude_series"): "the import served only objective_series",
+    ("spinrsc.rsc", "amplitude_matrix"): "the protocol owns P(t0), so rsc never computes it",
+    ("spinrsc.cli", "transition_amplitude"): "verify takes its four amplitudes from "
+    "one amplitude_matrix call",
+}
+
+
+def _resolves(module_name: str, attr: str) -> bool:
+    return callable(getattr(importlib.import_module(module_name), attr, None))
+
+
 def test_benchmark_names_resolve_to_callables():
     targets = _span_targets()
     assert targets
     missing = [
         f"{module_name}.{attr}"
         for module_name, attr in dict.fromkeys(targets + WORKLOAD_NAMES)
-        if not callable(getattr(importlib.import_module(module_name), attr, None))
+        if (module_name, attr) not in RETIRED and not _resolves(module_name, attr)
     ]
     assert missing == []
+
+
+def test_retired_targets_are_listed_and_really_gone():
+    # a retired entry must still be a span target and must not hide a live name
+    targets = _span_targets()
+    assert [key for key in RETIRED if key not in targets] == []
+    assert [key for key in RETIRED if hasattr(importlib.import_module(key[0]), key[1])] == []
+
+
+def test_oracle_cache_clear_the_benchmark_resets_exists():
+    # bench/workloads.py reaches the cache with getattr and skips the clear if
+    # the name is gone, which would carry spectra from one pass to the next
+    from spinrsc import oracle
+
+    assert callable(oracle._full_spectrum.cache_clear)
 
 
 def test_benchmark_call_signatures_still_bind():
@@ -64,16 +97,7 @@ def test_benchmark_call_signatures_still_bind():
     inspect.signature(propagate.amplitude_matrix).bind(dec, 1.0)
     inspect.signature(propagate.transition_amplitude).bind(dec, 8, 1, 1.0)
     inspect.signature(oracle.full_transition_amplitude).bind(object(), 8, 1, 1.0)
-    inspect.signature(oracle.full_hamiltonian).bind(object())
     inspect.signature(oracle.sample_max_transfer).bind(
         object(), oracle.TransferMode.EXT_RECEIVER_NORM, 1 << 20, 7
     )
 
-
-def test_full_hamiltonian_returns_the_array_the_build_span_measures():
-    # the benchmark's oracle.build span reads ``result.nbytes``
-    from spinrsc import chain, oracle
-
-    h = oracle.full_hamiltonian(chain.CouplingModel(chain.Coupling.ALL_NODE, 4))
-    assert isinstance(h, np.ndarray)
-    assert h.nbytes == 16 * 16 * 8

@@ -38,6 +38,17 @@ def test_short_chain_rejected():
     assert CouplingModel(Coupling.ALL_NODE, np.int64(6)).n == 6
 
 
+def test_coupling_kind_is_a_member_or_its_value():
+    # a label once fell through build_couplings to the all-node chain
+    for kind in Coupling:
+        model = CouplingModel(kind.value, 6)
+        assert model.kind is kind and model == CouplingModel(kind, 6)
+        assert np.array_equal(build_couplings(model), build_couplings(CouplingModel(kind, 6)))
+    for bad in ("NN", "nearest", 42, None):
+        with pytest.raises(ValueError, match="Coupling"):
+            CouplingModel(bad, 6)
+
+
 def test_couplings_symmetric_zero_diagonal():
     for kind in Coupling:
         d = build_couplings(CouplingModel(kind, 9))

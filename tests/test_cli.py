@@ -16,6 +16,7 @@ from spinrsc import (
     chain_decomposition,
     amplitude_matrix,
 )
+from spinrsc import cli
 from spinrsc.cli import main
 
 
@@ -127,10 +128,24 @@ def test_verify_reports_small_deviation(capsys):
     assert float(value) < 1e-10
 
 
-def test_verify_beyond_the_dense_cap(capsys):
+def test_verify_at_thirteen_nodes(capsys):
     assert main(["verify", "--n", "13", "--model", "nn", "--t", "4.1"]) == 0
     label, value = capsys.readouterr().out.split()
     assert float(value) <= 1e-10
+
+
+def test_verify_checks_the_p_kernel_in_one_call(monkeypatch, capsys):
+    # the fast side is the amplitude_matrix the protocol and creation map use
+    calls = []
+
+    def counted(dec, t):
+        calls.append(t)
+        return amplitude_matrix(dec, t)
+
+    monkeypatch.setattr(cli, "amplitude_matrix", counted)
+    assert main(["verify", "--n", "9", "--model", "all", "--t", "3.7"]) == 0
+    assert calls == [3.7]
+    assert float(capsys.readouterr().out.split()[1]) <= 1e-10
 
 
 def test_verify_at_the_full_space_cap(capsys):

@@ -19,7 +19,6 @@ from spinrsc import (
     critical_length,
     lam_plus_sq,
     maximize_over_time,
-    objective_series,
     optimal_protocol,
     optimal_sender_state,
     row_norm_sq,
@@ -208,7 +207,7 @@ def test_step_halving_self_consistency(monkeypatch):
 def test_objective_series_row_norm_matches_matrix():
     dec = _dec(Coupling.ALL_NODE, 8)
     ts = np.array([1.0, 4.0, 9.0])
-    values = objective_series(dec, row_norm_sq, ts)
+    values = row_norm_sq(np.stack([amplitude_matrix(dec, t) for t in ts], axis=-1))
     for i, t in enumerate(ts):
         p = amplitude_matrix(dec, t)
         assert values[i] == abs(p[1, 0]) ** 2 + abs(p[1, 1]) ** 2
@@ -222,8 +221,8 @@ def test_largest_singular_value_dominates_row_norm():
         kind = Coupling.ALL_NODE if rng.random() < 0.5 else Coupling.NEAREST_NEIGHBOR
         dec = _dec(kind, n)
         ts = rng.uniform(0.0, 4.0 * n, size=25)
-        lam = objective_series(dec, lam_plus_sq, ts)
-        row = objective_series(dec, row_norm_sq, ts)
+        ps = np.stack([amplitude_matrix(dec, t) for t in ts], axis=-1)
+        lam, row = lam_plus_sq(ps), row_norm_sq(ps)
         assert np.all(lam >= row - 1e-12)
         checked += ts.size
 
@@ -336,6 +335,14 @@ def test_protocol_and_sweep_share_the_variant_objective():
         assert (protocol.t0, protocol.r_max_sq) == maximize_over_time(dec, objective)
 
 
+def test_sweep_takes_model_labels():
+    labelled = sweep(range(4, 6), ["nn", "all+v"])
+    assert labelled == sweep(range(4, 6), [SweepModel.NN, SweepModel.ALL_WITH_V])
+    assert [r.model for r in labelled[:2]] == [SweepModel.NN, SweepModel.ALL_WITH_V]
+    with pytest.raises(ValueError, match="SweepModel"):
+        sweep([4], ["nn", "all-v"])
+
+
 def test_sweep_range_validation():
     with pytest.raises(ValueError, match="4, 200"):
         sweep([3], [SweepModel.NN])
@@ -377,7 +384,7 @@ def _scalar_golden_section(dec, objective, a, b):
     """The refine as it ran before the lock-step search: one time per evaluation."""
 
     def fn(t):
-        return objective_series(dec, objective, np.array([t]))[0]
+        return objective(amplitude_matrix(dec, t)[:, :, None])[0]
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     inv_phi_sq = 1.0 - inv_phi

@@ -7,7 +7,6 @@ from spinrsc import (
     TransferMode,
     amplitude_matrix,
     chain_decomposition,
-    full_hamiltonian,
     full_transition_amplitude,
     sample_max_transfer,
     transition_amplitude,
@@ -28,7 +27,7 @@ def _total_z(n: int) -> np.ndarray:
 def test_full_hamiltonian_conserves_excitation_number():
     for kind in Coupling:
         model = CouplingModel(kind, 5)
-        h = full_hamiltonian(model)
+        h = _strided_dense(model)
         assert np.max(np.abs(h - h.T)) == 0.0
         iz = _total_z(5)
         assert np.max(np.abs(h @ iz - iz @ h)) < 1e-10
@@ -66,14 +65,9 @@ def test_full_hamiltonian_equals_spin_operator_sum():
     for kind in Coupling:
         for n in range(4, 8):
             model = CouplingModel(kind, n)
-            h = full_hamiltonian(model)
+            h = _strided_dense(model)
             assert h.dtype == np.float64 and h.shape == (1 << n, 1 << n)
             assert np.array_equal(h, _kron_hamiltonian(model))
-
-
-def test_full_hamiltonian_size_cap():
-    with pytest.raises(ValueError, match="n <= 12"):
-        full_hamiltonian(CouplingModel(Coupling.ALL_NODE, 13))
 
 
 def test_full_amplitude_size_cap():
@@ -87,8 +81,16 @@ def _strided_apply(model: CouplingModel, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _strided_dense(model: CouplingModel) -> np.ndarray:
+    """The full H as a dense matrix: row s is the strided apply of |s> (H is real symmetric)."""
+    return np.array([_strided_apply(model, unit) for unit in np.eye(1 << model.n)])
+
+
 def _table_apply(model: CouplingModel, v: np.ndarray) -> np.ndarray:
-    """H v by flip indices: gather the states whose bits i and j differ, scatter to partners."""
+    """H v by flip indices: gather the states whose bits i and j differ, scatter to partners.
+
+    ``v`` may be a vector or a matrix of column vectors; ``np.eye(2^N)`` gives the dense H.
+    """
     d = build_couplings(model)
     states = np.arange(1 << model.n)
     out = np.zeros_like(v)
@@ -106,7 +108,7 @@ def test_matrix_free_apply_equals_dense_hamiltonian():
         for n in (4, 7, 9):
             model = CouplingModel(kind, n)
             v = rng.standard_normal(1 << n)
-            dense = full_hamiltonian(model) @ v
+            dense = _kron_hamiltonian(model) @ v
             assert np.max(np.abs(_strided_apply(model, v) - dense)) < 1e-14
 
 
@@ -154,7 +156,7 @@ def _embed(n: int, rows: np.ndarray) -> np.ndarray:
 def test_krylov_eigenpairs_are_eigenpairs_of_the_full_hamiltonian():
     for kind in Coupling:
         model = CouplingModel(kind, 9)
-        h = full_hamiltonian(model)
+        h = _table_apply(model, np.eye(1 << 9))
         spectrum = np.linalg.eigvalsh(h)
         for j in (0, 1, 2):
             evals, rows, weights = _full_spectrum(kind, 9, j)
@@ -172,14 +174,14 @@ def test_sender_krylov_spaces_close_and_nothing_leaks():
     # n Lanczos vectors; the loop observes the closure as a breakdown
     for kind in Coupling:
         for n in (6, 10):
-            h = full_hamiltonian(CouplingModel(kind, n))
+            model = CouplingModel(kind, n)
             for j in (1, 2):
                 evals, rows, weights = _full_spectrum(kind, n, j)
                 assert 1 < rows.shape[1] <= n, (kind, n, j)
                 evecs = _embed(n, rows)
                 # orthonormal eigenvectors of the full H that live on the kept states
                 assert np.max(np.abs(evecs.T @ evecs - np.eye(evals.size))) < 1e-12
-                assert np.max(np.abs(h @ evecs - evecs * evals)) < 1e-12
+                assert np.max(np.abs(_table_apply(model, evecs) - evecs * evals)) < 1e-12
                 for t in (0.7, 2.3 * n, 3.0 * n, 250.0):
                     # exp(-i H t)|j> has unit norm, so what its kept part
                     # lacks of that norm has leaked to other states

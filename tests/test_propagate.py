@@ -9,7 +9,6 @@ from spinrsc import (
     Coupling,
     CouplingModel,
     amplitude_matrix,
-    amplitude_series,
     chain_decomposition,
     lam_plus_sq,
     row_norm_sq,
@@ -56,7 +55,8 @@ def test_amplitude_grid_matches_series(kind):
     step, count = 0.05, 28 * GRID_BLOCK + 11  # ragged last block, t up to ~90
     grid = amplitude_grid(dec, step, count)
     assert grid.shape == (2, 2, count)
-    assert np.max(np.abs(grid - amplitude_series(dec, step * np.arange(count)))) <= 1e-13
+    single = np.stack([amplitude_matrix(dec, t) for t in step * np.arange(count)], axis=-1)
+    assert np.max(np.abs(grid - single)) <= 1e-13
 
 
 @pytest.mark.parametrize("kind", list(Coupling))
@@ -119,16 +119,14 @@ def test_amplitude_matrix_requires_disjoint_blocks():
 
 
 def test_series_matches_single_time_calls():
-    # each time is its own (4, n) @ (n, 1) product of the decomposition's
-    # weights, so batching changes no bit, and the refine probes that product
+    # the refine probes a series of times in one batch, each its own
+    # (4, n) @ (n, 1) product of the decomposition's weights, so batching
+    # changes no bit against amplitude_matrix at each time
     for kind in Coupling:
         for n in (4, 9, 33, 109):
             dec = _dec(kind, n)
             assert dec.weights is dec.weights and not dec.weights.flags.writeable
             ts = np.random.default_rng(n).uniform(0.0, 4.0 * n, size=120)
-            series = amplitude_series(dec, ts)
-            single = np.stack([amplitude_matrix(dec, t) for t in ts], axis=-1)
-            assert np.array_equal(series.view(np.int64), single.view(np.int64)), (kind, n)
             for objective in (lam_plus_sq, row_norm_sq):
                 # a zero-width bracket returns its probe at t itself; an objective
                 # takes a (2, 2, T) stack (on a bare 2x2, lam_plus_sq's determinant

@@ -23,7 +23,7 @@ from spinrsc import (
     receiver_from_params,
     region_grid,
 )
-from spinrsc import rsc
+from spinrsc import propagate, rsc
 from spinrsc.rsc import _extended_density, _reduce
 
 
@@ -566,7 +566,8 @@ def test_creation_reads_p_and_rotation_from_the_protocol(monkeypatch):
     def refuse(*args):
         raise AssertionError("P(t0) recomputed")
 
-    monkeypatch.setattr(rsc, "amplitude_matrix", refuse)
+    # every single-time P, amplitude_matrix's included, goes through _p_stack
+    monkeypatch.setattr(propagate, "_p_stack", refuse)
     rho, cp = create_state(protocol, dec, c)
     assert np.array_equal(rho, expected[0]) and cp == expected[1]
     assert len(region_grid(protocol, dec, 0.25)) == 25
