@@ -1,9 +1,9 @@
 """Command-line interface emitting the CSV/JSON artifacts.
 
 Exit codes: 0 on success, 1 on a domain error (invalid physics input), an
-output file that cannot be written or a ``verify`` deviation above
-``VERIFY_TOL``, 2 on a usage error.  All numeric output is printed with 17
-significant digits so identical invocations produce byte-identical artifacts.
+output file that cannot be written, an input too large for memory or a
+``verify`` deviation above ``VERIFY_TOL``, 2 on a usage error.  Numeric output
+has 17 significant digits, so identical invocations give identical artifacts.
 """
 
 from __future__ import annotations
@@ -42,7 +42,11 @@ def _fmt(x: float) -> str:
 
 
 def _render(obj) -> str:
-    """Deterministic JSON with floats at 17 significant digits."""
+    """Deterministic JSON: floats at 17 digits, complex as ``[re, im]``, arrays as lists."""
+    if isinstance(obj, np.ndarray):
+        return _render(obj.tolist())
+    if isinstance(obj, complex):
+        return _render([obj.real, obj.imag])
     if isinstance(obj, dict):
         return "{" + ", ".join(f'"{k}": {_render(v)}' for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
@@ -50,14 +54,6 @@ def _render(obj) -> str:
     if isinstance(obj, float):
         return _fmt(obj)
     raise TypeError(f"cannot render {type(obj)!r}")
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_pair(complex(m[r, c])) for c in range(m.shape[1])] for r in range(m.shape[0])]
 
 
 def _finite_float(text: str) -> float:
@@ -112,7 +108,7 @@ def _cmd_amplitudes(args) -> int:
     _check_time(args.t)
     p = amplitude_matrix(_chain(args), args.t)
     names = ("p_nm1_1", "p_nm1_2", "p_n_1", "p_n_2")  # P row-major: (N-1, N) x (1, 2)
-    print(_render({name: _pair(complex(z)) for name, z in zip(names, p.flat)}))
+    print(_render(dict(zip(names, p.flat))))
     return 0
 
 
@@ -122,9 +118,9 @@ def _cmd_optimize(args) -> int:
     out = {
         "t0": protocol.t0,
         "r_max_sq": protocol.r_max_sq,
-        "a_opt": [_pair(complex(a)) for a in protocol.a_opt],
-        "u": _matrix_pairs(protocol.svd.u),
-        "v0": _matrix_pairs(protocol.svd.v0),
+        "a_opt": protocol.a_opt,
+        "u": protocol.svd.u,
+        "v0": protocol.svd.v0,
         "lam": [protocol.svd.lam.lam_minus, protocol.svd.lam.lam_plus],
     }
     print(_render(out))
@@ -175,7 +171,7 @@ def _cmd_create(args) -> int:
     rho, params = create_state(protocol, dec, controls)
     out = {
         "t0": protocol.t0,
-        "rho": _matrix_pairs(rho),
+        "rho": rho,
         "lambda": params.lam,
         "beta1": params.beta1,
         "beta2": params.beta2,
@@ -275,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpinRscError, ValueError, OSError) as exc:
+    except (SpinRscError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

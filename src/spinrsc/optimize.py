@@ -248,7 +248,7 @@ def _refine(rows: Sequence[_RefineRow]) -> list[tuple[float, float]]:
     for _, run in itertools.groupby(rows, key=lambda row: row.energies.shape[0]):
         stack = np.stack([row.weights for row in run])
         k, _, n = stack.shape
-        runs.append((stack, phases[pos : pos + k * n].reshape(k, n)))
+        runs.append((stack, phases[pos : pos + k * n].reshape(k, n, 1)))
         pos += k * n
     masks = {
         objective: np.array([row.objective is objective for row in rows])

@@ -5,12 +5,12 @@ chain eigenpairs, so thousands of time samples reuse a single dense
 eigensolve.  The 2x2 block from the sender nodes (1, 2) to the
 extended-receiver nodes (N-1, N) is the matrix ``P``: a sender state with
 excitation amplitudes ``(a1, a2)`` arrives as ``f = P (a1, a2)^T``, while the
-vacuum amplitude ``f0`` stays equal to ``a0``.  Every single-time ``P``,
-from :func:`amplitude_matrix` (protocol, creation map, ``verify``) or from
-the refine's probe, is one ``(4, n) @ (n, 1)`` product of the weights the
-decomposition owns and the phases of that time.  A uniform grid
-(:func:`amplitude_grid`) factors its phases into block heads times one
-shared table instead, so it needs far fewer complex exponentials than points.
+vacuum amplitude ``f0`` stays equal to ``a0``.  :func:`_p_stack` lays out
+every ``P``: a single-time one, from :func:`amplitude_matrix` (protocol,
+creation map, ``verify``) or the refine's probe, is one ``(4, n) @ (n, 1)``
+product of the decomposition's weights and the phases of that time, and a
+uniform grid (:func:`amplitude_grid`) factors its phases into block heads
+times one shared table, needing far fewer exponentials than points.
 """
 
 from __future__ import annotations
@@ -47,13 +47,14 @@ def transition_amplitude(dec: SpectralDecomposition, k: int, j: int, t: float) -
 
 
 def _p_stack(runs) -> np.ndarray:
-    """``P`` for every phase row of the ``(weights, phases)`` runs, shape ``(2, 2, T)``.
+    """The ``(weights, phases)`` runs' products as the P stack, shape ``(2, 2, T)``.
 
-    A run pairs ``(k, n)`` phases with one ``(4, n)`` weights array or a
-    ``(k, 4, n)`` stack; each row is its own ``(4, n) @ (n, 1)`` product.
+    A run's ``weights @ phases`` has shape ``(..., 4, m)``; its time points
+    run along the leading axis, then the ``m`` columns, and run after run.
     """
-    ps = np.concatenate([weights @ phases[:, :, None] for weights, phases in runs])
-    return np.ascontiguousarray(ps.reshape(-1, 4).T).reshape(2, 2, -1)
+    products = [weights @ phases for weights, phases in runs]
+    ps = products[0] if len(products) == 1 else np.concatenate(products)
+    return ps.swapaxes(0, -2).reshape(2, 2, -1)
 
 
 def amplitude_grid(dec: SpectralDecomposition, step: float, count: int) -> np.ndarray:
@@ -61,9 +62,9 @@ def amplitude_grid(dec: SpectralDecomposition, step: float, count: int) -> np.nd
 
     Grid points come in blocks of ``GRID_BLOCK``, and the phase of point ``j``
     in block ``b`` factors as ``exp(-i E step GRID_BLOCK b) * exp(-i E step j)``.
-    Each block is one ``(4, n) @ (n, GRID_BLOCK)`` product of the weights
-    times the block phase against a single base table, so ``B`` blocks cost
-    ``n (B + GRID_BLOCK)`` exponentials instead of one per eigenvalue and grid
+    The grid is one ``(B, 4, n) @ (n, GRID_BLOCK)`` run of :func:`_p_stack`,
+    the weights times each block phase against one base table: ``B`` blocks
+    cost ``n (B + GRID_BLOCK)`` exponentials, not one per eigenvalue and grid
     point, and no ``n x T`` phase table is built.  A value depends on ``k``
     alone, so a shorter grid is a prefix of a longer one bit for bit.
     """
@@ -71,10 +72,9 @@ def amplitude_grid(dec: SpectralDecomposition, step: float, count: int) -> np.nd
     heads = step * (GRID_BLOCK * np.arange(blocks))
     block_phases = np.exp(-1j * np.outer(heads, dec.energies))  # (B, n)
     base = np.exp(-1j * step * np.outer(dec.energies, np.arange(GRID_BLOCK)))  # (n, 64)
-    stack = (dec.weights * block_phases[:, None, :]) @ base  # (B, 4, GRID_BLOCK)
-    return stack.transpose(1, 0, 2).reshape(2, 2, blocks * GRID_BLOCK)[:, :, :count]
+    return _p_stack([(dec.weights * block_phases[:, None, :], base)])[:, :, :count]
 
 
 def amplitude_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """The 2x2 sender-to-extended-receiver transition matrix at time ``t``."""
-    return _p_stack([(dec.weights, np.exp(-1j * (t * dec.energies))[None])])[:, :, 0]
+    return _p_stack([(dec.weights, np.exp(-1j * (t * dec.energies))[:, None])])[:, :, 0]

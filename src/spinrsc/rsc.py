@@ -12,11 +12,11 @@ no creation function recomputes either; their ``dec`` argument is unused
 and stays only for their callers.  :func:`create_state` computes one point
 with CPython's scalar ``math``/``cmath`` calls, one ``P @ (a1, a2)`` product,
 :func:`_extended_density` and :func:`_reduce`.
-:func:`region_grid` runs the same arithmetic on arrays of control points
-(:func:`_create_batch`) and gives bit-identical results: the BLAS products
-are the same calls stacked, complex products are written out the way CPython
-rounds them, ``abs`` of a complex number is ``np.hypot`` (libm ``hypot``, as
-in CPython), and the other libm calls go through CPython's scalar functions
+:func:`region_grid` runs the same arithmetic, :func:`_reduce` included, on
+arrays of control points (:func:`_create_batch`) with bit-identical results:
+the BLAS products are the same calls stacked, complex products are written
+out as CPython rounds them, ``abs`` of a complex is ``np.hypot`` (libm, as
+in CPython), and the other libm calls are CPython's scalar functions
 (:func:`_scalar`).  :func:`beta2_coverage` reads ``beta2`` as the phase of
 the receiver amplitude ``g_N``, not as the negated phase of the coherence:
 it equals its per-point loop bit for bit and agrees with
@@ -104,16 +104,13 @@ def _extended_density(a0: float, f_nm1: complex, f_n: complex) -> np.ndarray:
 
 
 def _reduce(rho_ext: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Partial trace over node N-1 of ``v rho_ext v^+``, for a checked rotation ``v``."""
+    """Partial trace over node N-1 of ``v rho_ext v^+``, for a checked rotation ``v``.
+
+    A ``(B, 4, 4)`` stack of states gives the ``(B, 2, 2)`` stack of receiver
+    states.  Basis indices pair as (0,2) with N-1 empty and (1,3) with it excited.
+    """
     m = v @ rho_ext @ v.conj().T
-    # partial trace over node N-1: basis indices pair as (0,2) no-excitation
-    # and (1,3) excited on N-1
-    return np.array(
-        [
-            [m[0, 0] + m[1, 1], m[0, 2] + m[1, 3]],
-            [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]],
-        ]
-    )
+    return m[..., ::2, ::2] + m[..., 1::2, 1::2]
 
 
 @dataclass(frozen=True)
@@ -226,8 +223,8 @@ def _create_batch(
     """Arrays ``(lam, beta1, beta2)`` for the ``(B, 4)`` control rows.
 
     ``v`` is the protocol's checked rotation ``diag(1, v0, 1)``.  Element
-    for element this is the arithmetic of :func:`create_state`, so every value
-    equals that function's exactly.
+    for element this is the arithmetic of :func:`create_state`, through the
+    same :func:`_reduce`, so every value equals that function's exactly.
     """
     a0, f = _arrivals(p, controls)
     f_nm1, f_n = f[:, 0, 0], f[:, 1, 0]
@@ -250,9 +247,9 @@ def _create_batch(
         re, im = _product(x.real, x.imag, y.real, -y.imag)  # x conj(y)
         rho[:, i, j] = _complex(re, im)
         rho[:, j, i] = _complex(re, -im)
-    m = v @ rho @ v.conj().T
-    off = m[:, 0, 2] + m[:, 1, 3]
-    r_z_sq = (m[:, 2, 2] + m[:, 3, 3]).real
+    rho_r = _reduce(rho, v)
+    off = rho_r[:, 0, 1]
+    r_z_sq = rho_r[:, 1, 1].real
     abs_off = np.hypot(off.real, off.imag)  # libm hypot, like abs(complex)
     disc = _scalar(math.hypot, 1.0 - 2.0 * r_z_sq, 2.0 * abs_off)
     beta1 = _scalar(math.atan2, 2.0 * abs_off, 1.0 - 2.0 * r_z_sq) / math.pi

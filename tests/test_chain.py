@@ -153,3 +153,16 @@ def test_spectral_decompose_rejects_asymmetric():
 
 def test_eigensolver_error_is_exported():
     assert issubclass(EigensolverError, Exception)
+
+
+def test_every_sweep_chain_is_mirror_symmetric():
+    # a homogeneous chain commutes with the reflection k -> N+1-k, so every
+    # eigenvector is even or odd and P[0, 0](t) = P[1, 1](t)
+    for kind in Coupling:
+        for n in range(4, 131):
+            dec = chain_decomposition(CouplingModel(kind, n))
+            assert np.max(np.abs(dec.weights[0] - dec.weights[3])) <= 1e-15, (kind, n)
+            v, mirrored = dec.vectors, dec.vectors[::-1]
+            even = np.max(np.abs(mirrored - v), axis=0)
+            odd = np.max(np.abs(mirrored + v), axis=0)
+            assert np.max(np.minimum(even, odd)) <= 1e-12, (kind, n)

@@ -237,6 +237,29 @@ def test_domain_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["hamiltonian", "--n", "100000", "--model", "all"],
+    ["optimize", "--n", "100000", "--model", "nn"],
+])
+def test_input_too_large_for_memory_is_an_error_without_traceback(argv, monkeypatch, capsys):
+    def refuse(model):
+        # what numpy raises for the 100000 x 100000 coupling matrix; nothing is allocated here
+        raise MemoryError(
+            "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+            "and data type float64"
+        )
+
+    monkeypatch.setattr(cli, "build_couplings", refuse)
+    monkeypatch.setattr(cli, "chain_decomposition", refuse)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+        "and data type float64\n"
+    )
+
+
 def test_bad_model_list_is_domain_error(capsys):
     assert main(["sweep", "--n-min", "4", "--n-max", "5", "--models", "bogus",
                  "--out", "/dev/null"]) == 1

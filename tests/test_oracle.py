@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from spinrsc import (
+    ControlParams,
     Coupling,
     CouplingModel,
     TransferMode,
     amplitude_matrix,
     chain_decomposition,
+    creatable_params,
+    create_state,
     full_transition_amplitude,
+    optimal_protocol,
+    region_grid,
     sample_max_transfer,
     transition_amplitude,
 )
@@ -253,6 +258,59 @@ def test_single_excitation_reduction_matches_full_space():
                         fast = transition_amplitude(dec, k, j, float(t))
                         full = full_transition_amplitude(model, k, j, float(t))
                         assert abs(fast - full) < 1e-10
+
+
+def _full_receiver_state(model: CouplingModel, t: float, c: ControlParams, v0) -> np.ndarray:
+    """The created receiver state, computed in the full 2^N space.
+
+    The sender ``a0|0> + a1|1> + a2|2>`` of the control angles evolves
+    through the Lanczos rows of its three sources, ``diag(1, v0, 1)`` acts
+    on nodes N-1 and N (bits N-2 and N-1) and every node but N is traced out.
+    """
+    n = model.n
+    half1, half2 = 0.5 * np.pi * c.alpha1, 0.5 * np.pi * c.alpha2
+    sender = (
+        np.sin(half1),
+        np.cos(half1) * np.cos(half2) * np.exp(2j * np.pi * c.phi1),
+        np.cos(half1) * np.sin(half2) * np.exp(2j * np.pi * c.phi2),
+    )
+    psi = np.zeros(1 << n, dtype=complex)
+    kept = [basis_index(node) for node in range(n + 1)]
+    for j, amplitude in enumerate(sender):
+        evals, rows, weights = _full_spectrum(model.kind, n, j)
+        psi[kept] += amplitude * (rows @ (weights * np.exp(-1j * evals * t)))
+    # the two top bits, in basis_index order, index the rows of a (4, 2^(N-2)) view:
+    # 0 vacuum, 1 node N-1, 2 node N, 3 both
+    assert (basis_index(n - 1) >> (n - 2), basis_index(n) >> (n - 2)) == (1, 2)
+    rotation = np.eye(4, dtype=complex)
+    rotation[1:3, 1:3] = v0
+    # after the rotation, the top bit (node N) indexes the rows of a (2, 2^(N-1)) view
+    by_last_node = (rotation @ psi.reshape(4, -1)).reshape(2, -1)
+    return by_last_node @ by_last_node.conj().T
+
+
+@pytest.mark.parametrize("kind", list(Coupling))
+@pytest.mark.parametrize("n", [4, 7, 10])
+@pytest.mark.parametrize("with_v", [False, True])
+def test_created_states_match_the_full_space(kind, n, with_v):
+    # the rotation and the partial trace are rebuilt from the oracle's own
+    # basis, so a wrong v0 orientation, basis order or pairing shows here
+    model = CouplingModel(kind, n)
+    dec = chain_decomposition(model)
+    protocol = optimal_protocol(dec, with_v=with_v)
+    rng = np.random.default_rng(21)
+    for controls in rng.random((20, 4)):
+        c = ControlParams(*controls.tolist())
+        full = _full_receiver_state(model, protocol.t0, c, protocol.v0)
+        rho, _ = create_state(protocol, dec, c)
+        assert np.max(np.abs(rho - full)) <= 1e-12, c
+    rows = region_grid(protocol, dec, 0.05)
+    for i in rng.choice(len(rows), size=20, replace=False):
+        row = rows[i]
+        c = ControlParams(row.alpha1, row.alpha2, 0.0, 0.0)
+        full = creatable_params(_full_receiver_state(model, protocol.t0, c, protocol.v0))
+        assert abs(row.lam - full.lam) <= 1e-12, c
+        assert abs(row.beta1 - full.beta1) <= 1e-12, c
 
 
 def test_specific_long_hop_agrees_with_full_space():
