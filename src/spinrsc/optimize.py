@@ -9,9 +9,9 @@ and a scalar search over time locates the first maximum of the protocol
 variant's objective: :func:`lam_plus_sq` with the receiver-side unitary,
 :func:`row_norm_sq` without it.  An objective is a function of a
 ``(2, 2, T)`` stack of P matrices, so one stack on a uniform grid serves
-every objective of a chain in a single coarse scan, and one golden-section
-search refines the scanned brackets of many chains in lock step.  The scan
-reads ``amplitude_grid``, the refine the single-time ``amplitude_matrix`` products.
+every objective of a chain in a single coarse scan (``amplitude_grid``),
+and the golden-section searches that refine the brackets of many chains are
+probed in lock step on single-time ``amplitude_matrix`` products.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Generator, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -225,24 +225,41 @@ def _refine_rows(
     ]
 
 
+def _golden_section(a: float, b: float) -> Generator[float, float, float]:
+    """Golden-section search for a maximum on ``[a, b]``: yields probe times, is sent their values.
+
+    Probes ``c < d`` split the bracket in the golden ratio; ``[a, d]`` is kept
+    when ``value(c) > value(d)``, else ``[c, b]``, until the bracket is no
+    wider than ``REFINE_TOL``.  Returns its midpoint.
+    """
+    c, d = a + (1.0 - _INV_PHI) * (b - a), a + _INV_PHI * (b - a)
+    yc, yd = (yield c), (yield d)
+    while b - a > REFINE_TOL:
+        if yc > yd:
+            b, d, yd = d, c, yc
+            c = a + (1.0 - _INV_PHI) * (b - a)
+            yc = yield c
+        else:
+            a, c, yc = c, d, yd
+            d = a + _INV_PHI * (b - a)
+            yd = yield d
+    return 0.5 * (a + b)
+
+
 def _refine(rows: Sequence[_RefineRow]) -> list[tuple[float, float]]:
     """Golden-section maximum of every row as ``(t0, objective(t0))``, all rows in lock step.
 
-    Each row runs the scalar search: probes ``c < d`` split ``[a, b]`` in the
-    golden ratio, the side of the lower probe is dropped (``[a, d]`` when
-    ``objective(c) > objective(d)``, else ``[c, b]``), and the row stops once
-    its bracket is no wider than ``REFINE_TOL``; its maximum is taken at the
-    bracket midpoint.  A step probes every row at once: one complex
-    exponential over the concatenated ``E t`` of all rows, then the product
-    of :func:`amplitude_matrix` on one ``(k, 4, n)`` weight stack per run of
-    consecutive rows of chain length ``n``, so every row gets the bits of its
-    own one-time evaluation.  Only rows still wider than ``REFINE_TOL`` take
-    the probed values; probing the others too costs the sweep nothing, since
-    every sweep row starts from a ``2 * COARSE_STEP`` bracket and all stop on
-    the same step.
+    Each row runs its own :func:`_golden_section`.  A step probes every row at
+    once: one complex exponential over the concatenated ``E t`` of all rows,
+    the product of :func:`amplitude_matrix` on one ``(k, 4, n)`` weight stack
+    per run of consecutive rows of chain length ``n``, then each distinct
+    objective over the whole stack, so every row gets the bits of its own
+    one-time evaluation.  A finished row is probed at its ``t0``, which costs
+    the sweep nothing: its rows all start from ``2 * COARSE_STEP`` brackets
+    and stop on the same step.
     """
     energies = np.concatenate([row.energies for row in rows])
-    owner = np.repeat(np.arange(len(rows)), [row.energies.shape[0] for row in rows])
+    sizes = np.array([row.energies.shape[0] for row in rows])
     phases = np.empty(energies.shape, dtype=complex)  # refilled by each probe; runs view it
     runs, pos = [], 0
     for _, run in itertools.groupby(rows, key=lambda row: row.energies.shape[0]):
@@ -250,44 +267,26 @@ def _refine(rows: Sequence[_RefineRow]) -> list[tuple[float, float]]:
         k, _, n = stack.shape
         runs.append((stack, phases[pos : pos + k * n].reshape(k, n, 1)))
         pos += k * n
-    masks = {
-        objective: np.array([row.objective is objective for row in rows])
-        for objective in dict.fromkeys(row.objective for row in rows)
-    }
+    objectives = list(dict.fromkeys(row.objective for row in rows))
+    kinds = np.array([objectives.index(row.objective) for row in rows])
+    pending = dict(enumerate(_golden_section(row.a, row.b) for row in rows))
+    ts = [next(search) for search in pending.values()]
 
-    def probe(ts: np.ndarray) -> np.ndarray:
+    def probe() -> list[float]:
         """Objective of each row at its time in ``ts``."""
-        np.exp(-1j * (energies * ts[owner]), out=phases)
+        np.exp(-1j * (energies * np.repeat(ts, sizes)), out=phases)
         ps = _p_stack(runs)
-        values = np.empty(len(rows))
-        for objective, mine in masks.items():
-            values[mine] = objective(ps[:, :, mine])
-        return values
+        return np.choose(kinds, [objective(ps) for objective in objectives]).tolist()
 
-    inv_phi_sq = 1.0 - _INV_PHI
-    a = np.array([row.a for row in rows])
-    b = np.array([row.b for row in rows])
-    h = b - a
-    c = a + inv_phi_sq * h
-    d = a + _INV_PHI * h
-    yc, yd = probe(c), probe(d)
-    active = h > REFINE_TOL
-    while active.any():
-        left = active & (yc > yd)  # keep [a, d]; the rest of the active rows keep [c, b]
-        right = active & ~left
-        b = np.where(left, d, b)
-        a = np.where(right, c, a)
-        c, d = np.where(right, d, c), np.where(left, c, d)
-        yc, yd = np.where(right, yd, yc), np.where(left, yc, yd)
-        h = b - a
-        c = np.where(left, a + inv_phi_sq * h, c)
-        d = np.where(right, a + _INV_PHI * h, d)
-        y = probe(np.where(left, c, d))
-        yc = np.where(left, y, yc)
-        yd = np.where(right, y, yd)
-        active = h > REFINE_TOL
-    t0 = 0.5 * (a + b)
-    return list(zip(t0.tolist(), probe(t0).tolist()))
+    while pending:
+        values = probe()
+        for i, search in list(pending.items()):
+            try:
+                ts[i] = search.send(values[i])
+            except StopIteration as done:
+                ts[i] = done.value
+                del pending[i]
+    return list(zip(ts, probe()))
 
 
 def maximize_over_time(dec: SpectralDecomposition, objective: ObjectiveFn) -> tuple[float, float]:
@@ -401,8 +400,8 @@ def sweep(ns: Iterable[int], models: Iterable[SweepModel]) -> list[SweepRow]:
 
     Models of the same coupling share one decomposition and one coarse scan
     per chain length: ``all`` and ``all+v`` read the same P stack.  Only the
-    spectrum and the P weights of each chain outlive its scan, and one
-    lock-step golden-section search then refines the brackets of every row.
+    spectrum and the P weights of each chain outlive its scan, and the
+    golden-section searches of every row are then probed in lock step.
     A model is a :class:`SweepModel` member or its label.
     """
     ns = list(ns)

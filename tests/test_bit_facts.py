@@ -110,7 +110,8 @@ def test_scalar_equals_the_cpython_function(fn, args, dtype):
 
 @pytest.mark.parametrize("objective", [lam_plus_sq, row_norm_sq], ids=lambda f: f.__name__)
 def test_objective_on_a_slice_equals_the_whole_stack(chain, objective):
-    # the lock-step refine evaluates each objective on the rows that use it
+    # the lock-step refine evaluates each objective on the whole stack and each
+    # row takes its own objective's value, as if evaluated on its rows alone
     dec, _ = chain
     ps = amplitude_grid(dec, 0.05, 1000)
     mask = np.random.default_rng(5).random(1000) < 0.5

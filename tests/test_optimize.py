@@ -471,13 +471,38 @@ def _assert_protocol_rebuilt_from(p: np.ndarray, protocol, label) -> None:
     assert np.max(np.abs(svd.u - protocol.svd.u)) <= 1e-12, label
 
 
+# The rows that decide the paper's critical lengths (34 / 37 / 109 at 1/2,
+# 6 / 4 / 17 at 0.9), each with its threshold and whether it reaches it: the
+# last length that does and the first that does not.
+_DECIDING_ROWS = {
+    (SweepModel.NN, 34): (0.5, True), (SweepModel.NN, 35): (0.5, False),
+    (SweepModel.NN, 6): (0.9, True), (SweepModel.NN, 7): (0.9, False),
+    (SweepModel.ALL_NO_V, 37): (0.5, True), (SweepModel.ALL_NO_V, 38): (0.5, False),
+    (SweepModel.ALL_NO_V, 4): (0.9, True), (SweepModel.ALL_NO_V, 5): (0.9, False),
+    (SweepModel.ALL_WITH_V, 109): (0.5, True), (SweepModel.ALL_WITH_V, 110): (0.5, False),
+    (SweepModel.ALL_WITH_V, 17): (0.9, True), (SweepModel.ALL_WITH_V, 18): (0.9, False),
+}
+
+
+def _assert_decided_with_margin(model, n, certified, package):
+    """A deciding row lies on its side of the threshold by 10^6 certified deviations."""
+    if (model, n) not in _DECIDING_ROWS:
+        return
+    threshold, reached = _DECIDING_ROWS[model, n]
+    margin = package - threshold
+    assert (margin > 0.0) == reached, (model, n, margin)
+    assert abs(margin) >= 1e6 * abs(certified - package), (model, n, margin)
+
+
 def test_nn_sweep_rows_match_the_closed_form_chain(full_sweep):
     # The nearest-neighbour chain has E_m = cos(m pi/(n+1)) and
     # v_km = sqrt(2/(n+1)) sin(k m pi/(n+1)) (Bose, PRL 91, 207901 (2003)),
-    # so P(t) is rebuilt here without an eigensolver at the paper's lengths.
+    # so P(t) is rebuilt here without an eigensolver at the paper's lengths
+    # and on both sides of each nn critical length.
     rows, _ = full_sweep
-    checked = [r for r in rows if r.model is SweepModel.NN and r.n in (34, 37, 109, 130)]
-    assert [r.n for r in checked] == [34, 37, 109, 130]
+    lengths = (6, 7, 34, 35, 37, 109, 130)
+    checked = [r for r in rows if r.model is SweepModel.NN and r.n in lengths]
+    assert [r.n for r in checked] == list(lengths)
     for row in checked:
         angle = np.arange(1, row.n + 1) * math.pi / (row.n + 1)
         energies = np.cos(angle)
@@ -494,6 +519,7 @@ def test_nn_sweep_rows_match_the_closed_form_chain(full_sweep):
 
         peak = objective(row.t0)
         assert peak == pytest.approx(row.r_max_sq, abs=1e-12), row.n
+        _assert_decided_with_margin(row.model, row.n, peak, row.r_max_sq)
         assert objective(row.t0 - 1e-4) < peak and objective(row.t0 + 1e-4) < peak, row.n
         # sweep rows carry no a_opt, so the protocol is built for this check
         protocol = optimal_protocol(_dec(Coupling.NEAREST_NEIGHBOR, row.n), with_v=False)
@@ -604,8 +630,9 @@ def test_all_node_protocols_match_a_taylor_propagator():
     # exp(-i H t) is stepped in pieces of at most 0.5, where ||H dt|| <= 0.6
     # and 40 Taylor terms would leave a truncation error below 1e-40
     # (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)).  Both variants
-    # share the propagation up to the earlier of their two times.
-    for n in (34, 37, 109, 130):
+    # share the propagation up to the earlier of their two times.  The lengths
+    # lie on both sides of each all-node critical length.
+    for n in (4, 5, 17, 18, 34, 37, 38, 109, 110, 130):
         idx = np.arange(n, dtype=float)
         dist = np.abs(idx[:, None] - idx[None, :])
         h = np.zeros((n, n), dtype=complex)
@@ -625,3 +652,5 @@ def test_all_node_protocols_match_a_taylor_propagator():
             before, peak, after = objective(np.stack(ps, axis=-1))
             assert peak == pytest.approx(protocol.r_max_sq, abs=1e-12), (n, objective)
             assert before < peak and after < peak, (n, objective)
+            model = SweepModel.ALL_WITH_V if protocol.with_v else SweepModel.ALL_NO_V
+            _assert_decided_with_margin(model, n, peak, protocol.r_max_sq)
