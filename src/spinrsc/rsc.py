@@ -11,15 +11,16 @@ unitarity it checks once (:class:`~spinrsc.optimize.OptimalProtocol`), so
 no creation function recomputes either; their ``dec`` argument is unused
 and stays only for their callers.  :func:`create_state` computes one point
 with CPython's scalar ``math``/``cmath`` calls, one ``P @ (a1, a2)`` product,
-:func:`_extended_density` and :func:`_reduce`.
-:func:`region_grid` runs the same arithmetic, :func:`_reduce` included, on
-arrays of control points (:func:`_create_batch`) with bit-identical results:
-the BLAS products are the same calls stacked, complex products are written
-out as CPython rounds them, ``abs`` of a complex is ``np.hypot`` (libm, as
-in CPython), and the other libm calls are CPython's scalar functions
-(:func:`_scalar`).  :func:`beta2_coverage` reads ``beta2`` as the phase of
-the receiver amplitude ``g_N``, not as the negated phase of the coherence:
-it equals its per-point loop bit for bit and agrees with
+:func:`_extended_density` and :func:`_reduce`.  :func:`region_grid` runs
+the same arithmetic, :func:`_reduce` included, on control angles that
+broadcast, an alpha1 column against the alpha2 axis (:func:`_create_batch`),
+so each CPython call runs once per distinct angle.  Its results are
+bit-identical: the BLAS products are the same calls stacked, complex products
+are written out as CPython rounds them, ``abs`` of a complex is ``np.hypot``
+(libm, as in CPython), and the other libm calls are CPython's scalar
+functions (:func:`_scalar`).  :func:`beta2_coverage` reads ``beta2`` as the
+phase of the receiver amplitude ``g_N``, not as the negated phase of the
+coherence: it equals its per-point loop bit for bit and agrees with
 :func:`create_state` to 1e-12 (the two differ in the last bit at most).
 """
 
@@ -167,17 +168,19 @@ def receiver_from_params(params: CreatableParams) -> np.ndarray:
     return u @ np.diag([params.lam, 1.0 - params.lam]) @ u.conj().T
 
 
-def _scalar(fn, *arrays: np.ndarray, dtype: type = float) -> np.ndarray:
+def _scalar(fn, *args, dtype: type = float) -> np.ndarray:
     """``fn`` applied elementwise as the CPython scalar function itself.
 
-    Each argument is a 1-D array or a scalar that every call receives.
+    The arguments broadcast against each other as in a ufunc, and ``fn`` runs
+    once per element of their broadcast shape, which the result takes.
 
     numpy's vectorised power, arctan2 and angle (and on some builds sin and
     cos) differ from libm or CPython in the last bit; calling the scalar
     function keeps each element equal to the per-point path's.
     """
-    columns = (a.tolist() if np.ndim(a) else itertools.repeat(a) for a in arrays)
-    return np.fromiter(map(fn, *columns), dtype, count=np.broadcast(*arrays).size)
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    columns = (np.broadcast_to(a, shape).ravel().tolist() for a in args)
+    return np.fromiter(map(fn, *columns), dtype, count=math.prod(shape)).reshape(shape)
 
 
 def _product(ar, ai, br, bi):
@@ -195,54 +198,54 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return z
 
 
-def _arrivals(p: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vacuum amplitudes ``a0`` and arrival columns ``f = P a``, shapes ``(B,)`` and ``(B, 2, 1)``.
+def _arrivals(p: np.ndarray, alpha1, alpha2, phi1, phi2) -> tuple[np.ndarray, ...]:
+    """Vacuum amplitudes ``a0`` (B,), arrivals ``f = P a`` (B, 2, 1) and ``|f|^2`` (B, 2).
 
-    ``controls`` holds one ``(alpha1, alpha2, phi1, phi2)`` row per point;
-    the arithmetic is that of :func:`create_state`, and ``P a`` is the same
-    BLAS call, stacked.
+    The control angles broadcast against each other (scalars, a column, a
+    row), so each CPython call runs once per distinct input; the B points
+    are their broadcast shape flattened in C order.  The arithmetic is that
+    of :func:`create_state`, ``P a`` is the same BLAS call, stacked, and a
+    point with ``a0^2 + |f|^2`` above 1 raises as :func:`_extended_density` does.
     """
-    alpha1, alpha2, phi1, phi2 = controls.T
+    shape = np.broadcast_shapes(*map(np.shape, (alpha1, alpha2, phi1, phi2)))
     half1 = 0.5 * math.pi * alpha1
-    half2 = 0.5 * math.pi * alpha2
+    a0 = _scalar(math.sin, half1)
     cos1 = _scalar(math.cos, half1)
     two_pi_i = 2j * math.pi
-    exc = np.empty((len(controls), 2), dtype=complex)
+    exc = np.empty((*shape, 2), dtype=complex)
     for col, weight, phi in ((0, math.cos, phi1), (1, math.sin, phi2)):
         # cmath.exp(2j * math.pi * phi), the product rounded as CPython rounds it
         arg = _complex(*_product(two_pi_i.real, two_pi_i.imag, phi, 0.0))
         turn = _scalar(cmath.exp, arg, dtype=complex)
-        amplitude = cos1 * _scalar(weight, half2)
-        exc[:, col] = _complex(*_product(amplitude, 0.0, turn.real, turn.imag))
-    return _scalar(math.sin, half1), np.matmul(p, exc[:, :, None])
+        amplitude = cos1 * _scalar(weight, 0.5 * math.pi * alpha2)
+        exc[..., col] = _complex(*_product(amplitude, 0.0, turn.real, turn.imag))
+    f = np.matmul(p, exc.reshape(-1, 2, 1))
+    # x ** 2 is libm pow; np.square rounds differently in rare cases
+    sq = _scalar(pow, np.hypot(f.real, f.imag), 2)[:, :, 0]
+    total = _scalar(pow, a0, 2) + (sq[:, 0] + sq[:, 1]).reshape(shape)
+    bad = np.flatnonzero(total > 1.0 + CONSTRAINT_TOL)
+    if bad.size:
+        raise ValueError(
+            "invalid amplitude vector: f0^2 + |f_nm1|^2 + |f_n|^2 = "
+            f"{float(total.flat[bad[0]])!r} exceeds 1"
+        )
+    return np.broadcast_to(a0, shape).ravel(), f, sq
 
 
 def _create_batch(
-    p: np.ndarray, v: np.ndarray, controls: np.ndarray
+    p: np.ndarray, v: np.ndarray, alpha1, alpha2, phi1, phi2
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays ``(lam, beta1, beta2)`` for the ``(B, 4)`` control rows.
+    """Arrays ``(lam, beta1, beta2)`` at the control points of :func:`_arrivals`.
 
     ``v`` is the protocol's checked rotation ``diag(1, v0, 1)``.  Element
     for element this is the arithmetic of :func:`create_state`, through the
     same :func:`_reduce`, so every value equals that function's exactly.
     """
-    a0, f = _arrivals(p, controls)
+    a0, f, sq = _arrivals(p, alpha1, alpha2, phi1, phi2)
     f_nm1, f_n = f[:, 0, 0], f[:, 1, 0]
-    # x ** 2 is libm pow; np.square rounds differently in rare cases
-    sq_nm1 = _scalar(pow, np.hypot(f_nm1.real, f_nm1.imag), 2)
-    sq_n = _scalar(pow, np.hypot(f_n.real, f_n.imag), 2)
-    occupied = sq_nm1 + sq_n
-    total = _scalar(pow, a0, 2) + occupied
-    bad = np.flatnonzero(total > 1.0 + CONSTRAINT_TOL)
-    if bad.size:
-        raise ValueError(
-            "invalid amplitude vector: f0^2 + |f_nm1|^2 + |f_n|^2 = "
-            f"{float(total[bad[0]])!r} exceeds 1"
-        )
-    rho = np.zeros((len(controls), 4, 4), dtype=complex)
-    rho[:, 0, 0] = 1.0 - occupied
-    rho[:, 1, 1] = sq_nm1
-    rho[:, 2, 2] = sq_n
+    rho = np.zeros((len(a0), 4, 4), dtype=complex)
+    rho[:, 0, 0] = 1.0 - (sq[:, 0] + sq[:, 1])
+    rho[:, (1, 2), (1, 2)] = sq  # |f_nm1|^2 and |f_n|^2
     for i, j, x, y in ((0, 1, a0, f_nm1), (0, 2, a0, f_n), (1, 2, f_nm1, f_n)):
         re, im = _product(x.real, x.imag, y.real, -y.imag)  # x conj(y)
         rho[:, i, j] = _complex(re, im)
@@ -308,15 +311,15 @@ def region_grid(
     alpha1-major, alpha2-minor, both ascending.
     """
     alphas = _grid_values(step)
+    axis = np.array(alphas)
     p, v = protocol.p, protocol.rotation
     per_batch = max(1, CHUNK_POINTS // len(alphas))  # alpha1 values per batch
     rows = []
     for lo in range(0, len(alphas), per_batch):
-        chunk = list(itertools.product(alphas[lo : lo + per_batch], alphas))
-        controls = np.zeros((len(chunk), 4))
-        controls[:, :2] = chunk
-        coords = (x.tolist() for x in _create_batch(p, v, controls))
-        rows += map(RegionRow, *zip(*chunk), *coords)
+        hi = lo + per_batch
+        coords = (x.tolist() for x in _create_batch(p, v, axis[lo:hi, None], axis, 0.0, 0.0))
+        # the rows share the axis' float objects rather than one new float per point
+        rows += map(RegionRow, *zip(*itertools.product(alphas[lo:hi], alphas)), *coords)
     return rows
 
 
@@ -352,11 +355,7 @@ def beta2_coverage(
     if phi_samples < 1:
         raise ValueError(f"phi_samples must be >= 1, got {phi_samples}")
     ControlParams(alpha1, alpha2, 0.0, 0.0)  # range check of the fixed angles
-    controls = np.zeros((phi_samples, 4))
-    controls[:, 0] = alpha1
-    controls[:, 1] = alpha2
-    controls[:, 3] = np.arange(phi_samples) / phi_samples
-    a0, f = _arrivals(protocol.p, controls)
+    a0, f, _ = _arrivals(protocol.p, alpha1, alpha2, 0.0, np.arange(phi_samples) / phi_samples)
     g = np.matmul(protocol.rotation[1:3, 1:3], f)[:, 1, 0]  # v0, checked for unitarity
     if np.any(a0 == 0.0) or np.any(np.hypot(g.real, g.imag) <= 1e-12):
         return CoverageReport(defined=False, beta2=None, max_gap=None)

@@ -182,7 +182,7 @@ def test_criterion_7_property_bundle(chain_109):
     densities_ok = True
     for _ in range(50):
         c = ControlParams(*rng.uniform(0.0, 1.0, size=4))
-        a0, f = _arrivals(protocol6.p, np.array([[c.alpha1, c.alpha2, c.phi1, c.phi2]]))
+        a0, f, _ = _arrivals(protocol6.p, c.alpha1, c.alpha2, c.phi1, c.phi2)
         rho_ext = _extended_density(float(a0[0]), complex(f[0, 0, 0]), complex(f[0, 1, 0]))
         densities_ok &= bool(np.max(np.abs(rho_ext - rho_ext.conj().T)) < 1e-12)
         densities_ok &= bool(abs(np.trace(rho_ext).real - 1.0) < 1e-12)

@@ -60,7 +60,7 @@ def test_stacked_weight_matmul_equals_the_single_products(chain):
 def test_stacked_rotation_equals_the_per_point_product(chain):
     # _create_batch rotates a (B, 4, 4) stack; create_state rotates one 4x4 matrix
     _, protocol = chain
-    a0, f = _arrivals(protocol.p, np.random.default_rng(2).uniform(0.0, 1.0, (256, 4)))
+    a0, f, _ = _arrivals(protocol.p, *np.random.default_rng(2).uniform(0.0, 1.0, (256, 4)).T)
     rhos = [_extended_density(*point) for point in zip(a0.tolist(), *f[:, :, 0].T.tolist())]
     v = protocol.rotation
     stacked = v @ np.array(rhos) @ v.conj().T
@@ -86,6 +86,7 @@ def test_hypot_of_the_parts_equals_abs_of_the_complex():
         (math.sin, 1, float),
         (math.cos, 1, float),
         (math.hypot, 2, float),
+        (math.hypot, 3, float),
         (math.atan2, 2, float),
         (pow, 1, float),
         (cmath.exp, 1, complex),
@@ -100,10 +101,12 @@ def test_scalar_equals_the_cpython_function(fn, args, dtype):
         columns = [columns[0] + 1j * rng.uniform(-4.0, 4.0, 5000)]
     if fn is pow:
         columns.append(2)  # x ** 2 as libm pow, a scalar every call receives
+    if args == 3:  # a (50, 1) column broadcast against a (100,) row and a scalar
+        columns = [columns[0][:50, None], columns[1][:100], 0.5]
     got = _scalar(fn, *columns, dtype=dtype)
-    lists = [c.tolist() if np.ndim(c) else [c] * 5000 for c in columns]
-    expected = np.array([fn(*xs) for xs in zip(*lists)], dtype=dtype)
-    assert _same_bits(got, expected), _broken(
+    points = np.broadcast(*columns)
+    expected = np.array([fn(*(x.item() for x in xs)) for xs in points], dtype=dtype)
+    assert _same_bits(got, expected.reshape(points.shape)), _broken(
         f"rsc._scalar({fn.__name__}, ...) equals CPython's {fn.__name__} element by element"
     )
 

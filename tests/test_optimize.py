@@ -27,6 +27,7 @@ from spinrsc import (
     sweep,
 )
 from spinrsc import optimize
+from spinrsc.cli import main
 from spinrsc.optimize import COARSE_STEP, SIGNIFICANCE_FLOOR
 from spinrsc.propagate import amplitude_grid
 
@@ -355,6 +356,18 @@ def test_sweep_rejects_empty_input():
         sweep([], [SweepModel.NN])
     with pytest.raises(ValueError, match="no models"):
         sweep([4], [])
+
+
+def test_sweep_error_names_the_failing_chain(monkeypatch, tmp_path, capsys):
+    # no transfer probability reaches 2, so the scan of the first chain finds no maximum
+    monkeypatch.setattr(optimize, "SIGNIFICANCE_FLOOR", 2.0)
+    with pytest.raises(MaximumNotFoundError) as info:
+        sweep([4], ["all", "all+v"])
+    assert str(info.value).startswith("n=4 model=all,all+v: ")
+    argv = ["sweep", "--n-min", "4", "--n-max", "4", "--models", "all,all+v"]
+    assert main([*argv, "--out", str(tmp_path / "sweep.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n=4 model=all,all+v: ") and err.count("\n") == 1
 
 
 def test_sweep_rows_equal_single_model_searches():

@@ -46,7 +46,7 @@ def _region_109():
 
 def _arrival(p, c: ControlParams) -> tuple[float, complex, complex]:
     """``(a0, f_nm1, f_n)`` of one control point: its vacuum amplitude and ``P (a1, a2)``."""
-    a0, f = rsc._arrivals(p, np.array([[c.alpha1, c.alpha2, c.phi1, c.phi2]]))
+    a0, f, _ = rsc._arrivals(p, c.alpha1, c.alpha2, c.phi1, c.phi2)
     return float(a0[0]), complex(f[0, 0, 0]), complex(f[0, 1, 0])
 
 
@@ -152,8 +152,13 @@ def test_extended_density_rejects_unphysical_amplitudes():
         _extended_density(1.0, 0.5 + 0.0j, 0.0j)
     # a P that amplifies, so the arrival amplitudes outweigh the sender's
     loud = dataclasses.replace(_protocol(Coupling.ALL_NODE, 6, True), p=2.0 * np.eye(2) + 0j)
+    dec = _dec(Coupling.ALL_NODE, 6)
     with pytest.raises(ValueError, match="exceeds 1"):
-        create_state(loud, _dec(Coupling.ALL_NODE, 6), ControlParams(0.5, 0.5, 0.0, 0.0))
+        create_state(loud, dec, ControlParams(0.5, 0.5, 0.0, 0.0))
+    with pytest.raises(ValueError, match="exceeds 1"):
+        region_grid(loud, dec, 0.25)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        beta2_coverage(loud, dec, 0.5, 0.5, 8)
 
 
 def test_extended_density_eigenvalues_match_closed_form_at_optimum():
