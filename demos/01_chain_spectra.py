@@ -23,7 +23,7 @@ def main():
     for kind in Coupling:
         model = CouplingModel(kind, n)
         d = build_couplings(model)
-        h = build_hamiltonian(d)
+        h = build_hamiltonian(model)
         dec = chain_decomposition(model)
         print(f"--- {kind.value} chain, n = {n} ---")
         print(f"coupling of the first pair      d[1,2] = {d[0, 1]:.6f}")

@@ -17,7 +17,6 @@ from .chain import (
     build_couplings,
     build_hamiltonian,
     chain_decomposition,
-    spectral_decompose,
 )
 from .errors import (
     DegenerateProtocolError,

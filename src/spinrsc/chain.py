@@ -4,11 +4,13 @@ Couplings are dimensionless, measured in units of the coupling between the
 first two nodes, so ``d[0, 1] == 1`` by construction and time is measured in
 the matching inverse-energy unit.  Two coupling graphs are supported:
 nearest-neighbour only, and all-node couplings decaying with the cube of the
-internode distance.
+internode distance.  A validated ``CouplingModel`` names each chain, and
+every matrix here is built from one, so no function takes a raw matrix.
 
 Restricted to the single-excitation sector, the chain Hamiltonian is the
 real symmetric matrix ``h[k, j] = d[k, j] / 2`` with a zero diagonal; the
 vacuum carries energy zero and never mixes in, so it is not stored.
+``chain_decomposition`` is the one way from a model to its spectrum.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "SpectralDecomposition",
     "build_couplings",
     "build_hamiltonian",
-    "spectral_decompose",
     "chain_decomposition",
 ]
 
@@ -77,16 +78,9 @@ def build_couplings(model: CouplingModel) -> np.ndarray:
     return dist**-3
 
 
-def build_hamiltonian(couplings: np.ndarray) -> np.ndarray:
-    """One-excitation Hamiltonian: half the coupling off-diagonal, zero diagonal."""
-    c = np.asarray(couplings, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError("coupling matrix must be square")
-    if not np.array_equal(c, c.T):
-        raise ValueError("coupling matrix must be symmetric")
-    if np.any(np.diag(c) != 0.0):
-        raise ValueError("coupling matrix must have a zero diagonal")
-    return c / 2.0
+def build_hamiltonian(model: CouplingModel) -> np.ndarray:
+    """One-excitation Hamiltonian of ``model``: half the coupling matrix, zero diagonal."""
+    return build_couplings(model) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,18 +112,15 @@ class SpectralDecomposition:
         return w
 
 
-def spectral_decompose(h: np.ndarray) -> SpectralDecomposition:
-    """Eigendecompose a symmetric Hamiltonian with a deterministic gauge.
+def chain_decomposition(model: CouplingModel) -> SpectralDecomposition:
+    """Spectral decomposition of the one-excitation Hamiltonian for ``model``.
 
     Eigenvalues come out ascending and every eigenvector is flipped so that
     its first non-negligible component is positive, which keeps emitted
-    artifacts reproducible across runs.
+    artifacts reproducible across runs.  Raises ``EigensolverError`` when
+    the eigensolver's residual exceeds ``RESIDUAL_TOL``.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("hamiltonian must be square")
-    if not np.array_equal(h, h.T):
-        raise ValueError("hamiltonian must be symmetric")
+    h = build_hamiltonian(model)
     energies, vectors = np.linalg.eigh(h)
     columns = np.arange(vectors.shape[1])
     lead = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), columns]
@@ -142,8 +133,3 @@ def spectral_decompose(h: np.ndarray) -> SpectralDecomposition:
     energies.flags.writeable = False
     vectors.flags.writeable = False
     return SpectralDecomposition(energies=energies, vectors=vectors)
-
-
-def chain_decomposition(model: CouplingModel) -> SpectralDecomposition:
-    """Spectral decomposition of the one-excitation Hamiltonian for ``model``."""
-    return spectral_decompose(build_hamiltonian(build_couplings(model)))

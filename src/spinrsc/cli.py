@@ -16,7 +16,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .chain import Coupling, CouplingModel, build_couplings, build_hamiltonian, chain_decomposition
+from .chain import Coupling, CouplingModel, build_hamiltonian, chain_decomposition
 from .errors import SpinRscError
 from .optimize import (
     SweepModel,
@@ -98,7 +98,7 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
 
 
 def _cmd_hamiltonian(args) -> int:
-    h = build_hamiltonian(build_couplings(CouplingModel(args.model, args.n)))
+    h = build_hamiltonian(CouplingModel(args.model, args.n))
     for row in h:
         print(",".join(_fmt(float(x)) for x in row))
     return 0

@@ -404,8 +404,8 @@ def sweep(ns: Iterable[int], models: Iterable[SweepModel]) -> list[SweepRow]:
     golden-section searches of every row are then probed in lock step.
     A model is a :class:`SweepModel` member or its label.
     """
-    ns = list(ns)
-    models = list(dict.fromkeys(map(SweepModel, models)))  # one row per distinct model
+    ns = list(dict.fromkeys(ns))  # one row per distinct length and model
+    models = list(dict.fromkeys(map(SweepModel, models)))
     if not ns:
         raise ValueError("no chain lengths to sweep: the range is empty")
     if not models:

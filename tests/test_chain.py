@@ -8,8 +8,9 @@ from spinrsc import (
     build_couplings,
     build_hamiltonian,
     chain_decomposition,
-    spectral_decompose,
+    sweep,
 )
+from spinrsc.cli import main
 
 
 def test_all_node_couplings_decay_with_cubed_distance():
@@ -66,26 +67,14 @@ def test_nearest_neighbor_pattern_included_in_all_node():
 
 
 def test_hamiltonian_is_half_couplings():
-    d = build_couplings(CouplingModel(Coupling.NEAREST_NEIGHBOR, 4))
-    h = build_hamiltonian(d)
+    h = build_hamiltonian(CouplingModel(Coupling.NEAREST_NEIGHBOR, 4))
     off = np.diag(h, 1)
     assert np.all(off == 0.5)
     assert np.all(np.diag(h) == 0.0)
     assert np.array_equal(h, h.T)
 
-    h_all = build_hamiltonian(build_couplings(CouplingModel(Coupling.ALL_NODE, 4)))
+    h_all = build_hamiltonian(CouplingModel(Coupling.ALL_NODE, 4))
     assert h_all[0, 2] == 0.0625
-
-
-def test_hamiltonian_input_validation():
-    with pytest.raises(ValueError, match="square"):
-        build_hamiltonian(np.zeros((2, 3)))
-    bad = np.zeros((3, 3))
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError, match="symmetric"):
-        build_hamiltonian(bad)
-    with pytest.raises(ValueError, match="diagonal"):
-        build_hamiltonian(np.eye(3))
 
 
 def test_tridiagonal_spectrum_matches_analytic_cosines():
@@ -101,8 +90,8 @@ def test_tridiagonal_spectrum_matches_analytic_cosines():
 def test_decomposition_residual_and_orthogonality():
     for kind, n in [(Coupling.NEAREST_NEIGHBOR, 4), (Coupling.ALL_NODE, 10)]:
         model = CouplingModel(kind, n)
-        h = build_hamiltonian(build_couplings(model))
-        dec = spectral_decompose(h)
+        h = build_hamiltonian(model)
+        dec = chain_decomposition(model)
         assert np.max(np.abs(h @ dec.vectors - dec.vectors * dec.energies)) < 1e-10
         gram = dec.vectors.T @ dec.vectors
         assert np.max(np.abs(gram - np.eye(n))) < 1e-10
@@ -113,7 +102,7 @@ def test_spectral_reconstruction_over_supported_lengths():
     for kind in Coupling:
         for n in range(4, 121):
             model = CouplingModel(kind, n)
-            h = build_hamiltonian(build_couplings(model))
+            h = build_hamiltonian(model)
             dec = chain_decomposition(model)
             recon = (dec.vectors * dec.energies) @ dec.vectors.T
             assert np.max(np.abs(recon - h)) < 1e-9
@@ -121,7 +110,7 @@ def test_spectral_reconstruction_over_supported_lengths():
 
 
 def _column_loop_gauge(vectors: np.ndarray) -> np.ndarray:
-    """The sign gauge as spectral_decompose applied it column by column before vectorising."""
+    """The sign gauge as chain_decomposition applied it column by column before vectorising."""
     vectors = vectors.copy()
     for m in range(vectors.shape[1]):
         col = vectors[:, m]
@@ -135,8 +124,9 @@ def test_eigenvector_gauge_is_deterministic():
     # the vectorised sign flip gives the bits of the former column loop
     for kind in Coupling:
         for n in range(4, 41):
-            h = build_hamiltonian(build_couplings(CouplingModel(kind, n)))
-            vectors = spectral_decompose(h).vectors
+            model = CouplingModel(kind, n)
+            h = build_hamiltonian(model)
+            vectors = chain_decomposition(model).vectors
             expected = _column_loop_gauge(np.linalg.eigh(h)[1])
             assert np.array_equal(vectors.view(np.int64), expected.view(np.int64))
             for m in range(n):
@@ -144,15 +134,30 @@ def test_eigenvector_gauge_is_deterministic():
                 assert col[np.abs(col) > 1e-12][0] > 0.0
 
 
-def test_spectral_decompose_rejects_asymmetric():
-    bad = np.zeros((4, 4))
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError, match="symmetric"):
-        spectral_decompose(bad)
-
-
 def test_eigensolver_error_is_exported():
     assert issubclass(EigensolverError, Exception)
+
+
+def test_eigensolver_residual_above_tolerance_is_an_error(monkeypatch, capsys):
+    # a LAPACK result with one eigenvalue off by 1e-3 must not reach a row;
+    # a rescaled eigenvector would still be an eigenvector, so shift a value
+    eigh = np.linalg.eigh
+
+    def skewed(h):
+        energies, vectors = eigh(h)
+        energies[0] += 1e-3
+        return energies, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    with pytest.raises(EigensolverError, match="eigendecomposition residual"):
+        chain_decomposition(CouplingModel(Coupling.ALL_NODE, 9))
+    with pytest.raises(EigensolverError, match="^n=9 model=all: eigendecomposition residual"):
+        sweep([9], ["all"])
+    assert main(["optimize", "--n", "9", "--model", "all"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eigendecomposition residual ")
+    assert captured.err.count("\n") == 1
 
 
 def test_every_sweep_chain_is_mirror_symmetric():

@@ -11,7 +11,6 @@ import pytest
 from spinrsc import (
     Coupling,
     CouplingModel,
-    build_couplings,
     build_hamiltonian,
     chain_decomposition,
     amplitude_matrix,
@@ -24,7 +23,7 @@ def test_hamiltonian_csv_round_trips(capsys):
     assert main(["hamiltonian", "--n", "4", "--model", "nn"]) == 0
     out = capsys.readouterr().out
     rows = [[float(x) for x in line.split(",")] for line in out.strip().splitlines()]
-    expected = build_hamiltonian(build_couplings(CouplingModel(Coupling.NEAREST_NEIGHBOR, 4)))
+    expected = build_hamiltonian(CouplingModel(Coupling.NEAREST_NEIGHBOR, 4))
     assert np.array_equal(np.array(rows), expected)
 
 
@@ -249,7 +248,7 @@ def test_input_too_large_for_memory_is_an_error_without_traceback(argv, monkeypa
             "and data type float64"
         )
 
-    monkeypatch.setattr(cli, "build_couplings", refuse)
+    monkeypatch.setattr(cli, "build_hamiltonian", refuse)
     monkeypatch.setattr(cli, "chain_decomposition", refuse)
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -312,10 +311,14 @@ def test_verify_rejects_nan_time(capsys):
     assert "--t: must be a finite number" in err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_amplitudes_rejects_non_finite_time(value, capsys):
+@pytest.mark.parametrize("value, message", [
+    pytest.param("nan", "--t: must be a finite number", id="nan"),
+    pytest.param("inf", "--t: must be a finite number", id="inf"),
+    pytest.param("abc", "--t: invalid number: 'abc'", id="abc"),
+])
+def test_amplitudes_rejects_non_finite_time(value, message, capsys):
     err = _usage_error(["amplitudes", "--n", "6", "--model", "nn", "--t", value], capsys)
-    assert "--t: must be a finite number" in err
+    assert message in err
 
 
 def test_critical_length_rejects_nan_threshold(capsys):

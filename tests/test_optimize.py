@@ -316,13 +316,14 @@ def test_sweep_rows_and_dominance():
 
 
 def test_sweep_repeated_model_gives_one_row_per_length():
-    rows = sweep([5, 6], [SweepModel.NN, SweepModel.ALL_NO_V, SweepModel.NN])
-    assert [(r.n, r.model) for r in rows] == [
-        (5, SweepModel.NN),
-        (5, SweepModel.ALL_NO_V),
-        (6, SweepModel.NN),
-        (6, SweepModel.ALL_NO_V),
-    ]
+    for ns in ([5, 6], [5, 6, 5]):
+        rows = sweep(ns, [SweepModel.NN, SweepModel.ALL_NO_V, SweepModel.NN])
+        assert [(r.n, r.model) for r in rows] == [
+            (5, SweepModel.NN),
+            (5, SweepModel.ALL_NO_V),
+            (6, SweepModel.NN),
+            (6, SweepModel.ALL_NO_V),
+        ], ns
 
 
 def test_protocol_and_sweep_share_the_variant_objective():

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from spinrsc import (
     Coupling,
     CouplingModel,
+    SpectralDecomposition,
     amplitude_matrix,
     chain_decomposition,
     lam_plus_sq,
     row_norm_sq,
-    spectral_decompose,
     transition_amplitude,
 )
 from spinrsc import optimize
@@ -113,7 +113,7 @@ def test_amplitude_matrix_agrees_with_full_space():
 
 
 def test_amplitude_matrix_requires_disjoint_blocks():
-    dec = spectral_decompose(np.zeros((3, 3)))
+    dec = SpectralDecomposition(np.zeros(3), np.eye(3))
     with pytest.raises(ValueError, match="overlap"):
         amplitude_matrix(dec, 1.0)
 

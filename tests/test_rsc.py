@@ -581,13 +581,16 @@ def test_creation_reads_p_and_rotation_from_the_protocol(monkeypatch):
 
 def test_protocol_with_non_unitary_v0_is_refused_on_first_use():
     protocol, dec = _protocol(Coupling.ALL_NODE, 9, True), _dec(Coupling.ALL_NODE, 9)
-    bad_v0 = np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex)
-    bad = dataclasses.replace(protocol, svd=dataclasses.replace(protocol.svd, v0=bad_v0))
-    with pytest.raises(ValueError, match="not unitary"):
-        create_state(bad, dec, ControlParams(0.3, 0.6, 0.1, 0.8))
-    with pytest.raises(ValueError, match="not unitary"):
-        region_grid(bad, dec, 0.25)
-    with pytest.raises(ValueError, match="not unitary"):
-        beta2_coverage(bad, dec, 0.3, 0.6, 16)
-    with pytest.raises(ValueError, match="not unitary"):
-        bad.rotation
+    for bad_v0, message in (
+        (np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex), "not unitary"),
+        (np.eye(3, dtype=complex), "v0 must be 2x2"),
+    ):
+        bad = dataclasses.replace(protocol, svd=dataclasses.replace(protocol.svd, v0=bad_v0))
+        with pytest.raises(ValueError, match=message):
+            create_state(bad, dec, ControlParams(0.3, 0.6, 0.1, 0.8))
+        with pytest.raises(ValueError, match=message):
+            region_grid(bad, dec, 0.25)
+        with pytest.raises(ValueError, match=message):
+            beta2_coverage(bad, dec, 0.3, 0.6, 16)
+        with pytest.raises(ValueError, match=message):
+            bad.rotation
