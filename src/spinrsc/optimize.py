@@ -144,7 +144,8 @@ def lam_plus_sq(ps: np.ndarray) -> np.ndarray:
     """Largest squared singular value of each 2x2 slice of a ``(2, 2, T)`` stack.
 
     The transfer objective with the receiver-side unitary: the best
-    extended-receiver probability over unit senders.
+    extended-receiver probability over unit senders.  Cancellation in
+    ``trace**2 - 4|det|**2`` lets it exceed ``lam_plus**2`` by up to ~1.2e-14; it is not clipped.
     """
     trace = np.sum(np.abs(ps) ** 2, axis=(0, 1))
     det = ps[0, 0] * ps[1, 1] - ps[0, 1] * ps[1, 0]

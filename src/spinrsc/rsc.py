@@ -11,17 +11,17 @@ unitarity it checks once (:class:`~spinrsc.optimize.OptimalProtocol`), so
 no creation function recomputes either; their ``dec`` argument is unused
 and stays only for their callers.  :func:`create_state` computes one point
 with CPython's scalar ``math``/``cmath`` calls, one ``P @ (a1, a2)`` product,
-:func:`_extended_density` and :func:`_reduce`.  :func:`region_grid` runs
-the same arithmetic, :func:`_reduce` included, on control angles that
-broadcast, an alpha1 column against the alpha2 axis (:func:`_create_batch`),
-so each CPython call runs once per distinct angle.  Its results are
-bit-identical: the BLAS products are the same calls stacked, complex products
-are written out as CPython rounds them, ``abs`` of a complex is ``np.hypot``
-(libm, as in CPython), and the other libm calls are CPython's scalar
-functions (:func:`_scalar`).  :func:`beta2_coverage` reads ``beta2`` as the
-phase of the receiver amplitude ``g_N``, not as the negated phase of the
-coherence: it equals its per-point loop bit for bit and agrees with
-:func:`create_state` to 1e-12 (the two differ in the last bit at most).
+:func:`_extended_density` and :func:`_reduce`.  :func:`_create_batch` runs
+the same arithmetic on control angles that broadcast (for :func:`region_grid`
+an alpha1 column against the alpha2 axis), so each CPython call runs once per
+distinct angle, and gives bit-identical receiver states: the BLAS products
+are the same calls stacked, complex products are written out as CPython
+rounds them, ``|f|`` is ``np.hypot`` (libm, as in CPython's ``abs``) and the
+other libm calls are CPython's scalar functions (:func:`_scalar`).  Both
+paths then call :func:`_coordinates` on each receiver state.
+:func:`beta2_coverage` reads ``beta2`` as the phase of the receiver amplitude
+``g_N``, not as the negated phase of the coherence: it equals its per-point
+loop bit for bit and agrees with :func:`create_state` to 1e-12.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .chain import SpectralDecomposition
 from .optimize import OptimalProtocol
 
 CONSTRAINT_TOL = 1e-9
+MAX_GRID_POINTS = 1001**2  # region_grid's largest grid, step 1e-3: bounds its time and memory
 CHUNK_POINTS = 2048  # region_grid's batch size in points, rounded down to whole alpha1 lines
 
 __all__ = [
@@ -75,6 +76,13 @@ class ControlParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _unphysical(total: float) -> ValueError:
+    """The error for a point whose ``a0^2 + |f|^2``, ``total``, exceeds 1."""
+    return ValueError(
+        f"invalid amplitude vector: f0^2 + |f_nm1|^2 + |f_n|^2 = {total!r} exceeds 1"
+    )
+
+
 def _extended_density(a0: float, f_nm1: complex, f_n: complex) -> np.ndarray:
     """4x4 extended-receiver state in the basis (|0>, |N-1>, |N>, |(N-1)N>).
 
@@ -87,9 +95,7 @@ def _extended_density(a0: float, f_nm1: complex, f_n: complex) -> np.ndarray:
     occupied = sq_nm1 + sq_n
     total = a0**2 + occupied
     if total > 1.0 + CONSTRAINT_TOL:
-        raise ValueError(
-            f"invalid amplitude vector: f0^2 + |f_nm1|^2 + |f_n|^2 = {total!r} exceeds 1"
-        )
+        raise _unphysical(total)
     c01 = a0 * f_nm1.conjugate()
     c02 = a0 * f_n.conjugate()
     c12 = f_nm1 * f_n.conjugate()
@@ -128,6 +134,20 @@ class CreatableParams:
     beta2: float
 
 
+def _coordinates(r_z_sq: float, off: complex) -> tuple[float, float, float]:
+    """The coordinates of :func:`creatable_params` from ``rho[1, 1].real`` and ``rho[0, 1]``."""
+    disc = math.hypot(1.0 - 2.0 * r_z_sq, 2.0 * abs(off))
+    lam = 0.5 * (1.0 + disc)
+    if r_z_sq <= 1e-30:
+        return lam, 0.0, 0.0
+    # atan2 rather than acos of (1 - 2 r_z_sq)/disc: same [0, pi] branch but
+    # still resolves beta1 when the coherence is tiny and the cosine rounds
+    # to +-1
+    beta1 = math.atan2(2.0 * abs(off), 1.0 - 2.0 * r_z_sq) / math.pi
+    beta2 = 0.0 if off == 0 else (-cmath.phase(off) / (2.0 * math.pi)) % 1.0
+    return lam, beta1, beta2
+
+
 def creatable_params(rho_r: np.ndarray) -> CreatableParams:
     """Extract (lam, beta1, beta2) from a 2x2 receiver density matrix.
 
@@ -137,21 +157,10 @@ def creatable_params(rho_r: np.ndarray) -> CreatableParams:
     eigenvector parametrisation requires; reading ``beta2`` directly as the
     phase of the transformed arrival amplitude flips its sign.  When the
     receiver carries no excitation or the state is maximally mixed, both
-    betas are zero by convention.
+    betas are zero.
     """
     rho = np.asarray(rho_r, dtype=complex)
-    r_z_sq = float(rho[1, 1].real)
-    off = complex(rho[0, 1])
-    disc = math.hypot(1.0 - 2.0 * r_z_sq, 2.0 * abs(off))
-    lam = 0.5 * (1.0 + disc)
-    if r_z_sq <= 1e-30 or disc == 0.0:
-        return CreatableParams(lam=lam, beta1=0.0, beta2=0.0)
-    # atan2 rather than acos of (1 - 2 r_z_sq)/disc: same [0, pi] branch but
-    # still resolves beta1 when the coherence is tiny and the cosine rounds
-    # to +-1
-    beta1 = math.atan2(2.0 * abs(off), 1.0 - 2.0 * r_z_sq) / math.pi
-    beta2 = 0.0 if off == 0 else (-cmath.phase(off) / (2.0 * math.pi)) % 1.0
-    return CreatableParams(lam=lam, beta1=beta1, beta2=beta2)
+    return CreatableParams(*_coordinates(float(rho[1, 1].real), complex(rho[0, 1])))
 
 
 def receiver_from_params(params: CreatableParams) -> np.ndarray:
@@ -174,9 +183,9 @@ def _scalar(fn, *args, dtype: type = float) -> np.ndarray:
     The arguments broadcast against each other as in a ufunc, and ``fn`` runs
     once per element of their broadcast shape, which the result takes.
 
-    numpy's vectorised power, arctan2 and angle (and on some builds sin and
-    cos) differ from libm or CPython in the last bit; calling the scalar
-    function keeps each element equal to the per-point path's.
+    numpy's vectorised power and angle (and on some builds sin and cos)
+    differ from libm or CPython in the last bit; calling the scalar function
+    keeps each element equal to the per-point path's.
     """
     shape = np.broadcast_shapes(*map(np.shape, args))
     columns = (np.broadcast_to(a, shape).ravel().tolist() for a in args)
@@ -225,21 +234,15 @@ def _arrivals(p: np.ndarray, alpha1, alpha2, phi1, phi2) -> tuple[np.ndarray, ..
     total = _scalar(pow, a0, 2) + (sq[:, 0] + sq[:, 1]).reshape(shape)
     bad = np.flatnonzero(total > 1.0 + CONSTRAINT_TOL)
     if bad.size:
-        raise ValueError(
-            "invalid amplitude vector: f0^2 + |f_nm1|^2 + |f_n|^2 = "
-            f"{float(total.flat[bad[0]])!r} exceeds 1"
-        )
+        raise _unphysical(float(total.flat[bad[0]]))
     return np.broadcast_to(a0, shape).ravel(), f, sq
 
 
-def _create_batch(
-    p: np.ndarray, v: np.ndarray, alpha1, alpha2, phi1, phi2
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Arrays ``(lam, beta1, beta2)`` at the control points of :func:`_arrivals`.
+def _create_batch(p: np.ndarray, v: np.ndarray, alpha1, alpha2, phi1, phi2) -> np.ndarray:
+    """The ``(B, 2, 2)`` receiver states at the control points of :func:`_arrivals`.
 
-    ``v`` is the protocol's checked rotation ``diag(1, v0, 1)``.  Element
-    for element this is the arithmetic of :func:`create_state`, through the
-    same :func:`_reduce`, so every value equals that function's exactly.
+    ``v`` is the protocol's checked rotation ``diag(1, v0, 1)``.  Element for
+    element this is :func:`create_state`'s arithmetic, :func:`_reduce` included.
     """
     a0, f, sq = _arrivals(p, alpha1, alpha2, phi1, phi2)
     f_nm1, f_n = f[:, 0, 0], f[:, 1, 0]
@@ -250,18 +253,7 @@ def _create_batch(
         re, im = _product(x.real, x.imag, y.real, -y.imag)  # x conj(y)
         rho[:, i, j] = _complex(re, im)
         rho[:, j, i] = _complex(re, -im)
-    rho_r = _reduce(rho, v)
-    off = rho_r[:, 0, 1]
-    r_z_sq = rho_r[:, 1, 1].real
-    abs_off = np.hypot(off.real, off.imag)  # libm hypot, like abs(complex)
-    disc = _scalar(math.hypot, 1.0 - 2.0 * r_z_sq, 2.0 * abs_off)
-    beta1 = _scalar(math.atan2, 2.0 * abs_off, 1.0 - 2.0 * r_z_sq) / math.pi
-    beta2 = np.remainder(-_scalar(cmath.phase, off) / (2.0 * math.pi), 1.0)
-    beta2[off == 0] = 0.0
-    plain = (r_z_sq <= 1e-30) | (disc == 0.0)
-    beta1[plain] = 0.0
-    beta2[plain] = 0.0
-    return 0.5 * (1.0 + disc), beta1, beta2
+    return _reduce(rho, v)
 
 
 def create_state(
@@ -295,7 +287,9 @@ class RegionRow(NamedTuple):
 def _grid_values(step: float) -> list[float]:
     if not 0.0 < step <= 0.5:
         raise ValueError(f"grid step must lie in (0, 0.5], got {step}")
-    count = int(math.floor(1.0 / step + 1e-9))
+    count = math.floor(min(1.0 / step + 1e-9, MAX_GRID_POINTS))  # 1 / step may be inf
+    if (count + 1) ** 2 > MAX_GRID_POINTS:
+        raise ValueError(f"grid step {step!r} is too fine: more than {MAX_GRID_POINTS} points")
     return [min(i * step, 1.0) for i in range(count + 1)]
 
 
@@ -317,9 +311,12 @@ def region_grid(
     rows = []
     for lo in range(0, len(alphas), per_batch):
         hi = lo + per_batch
-        coords = (x.tolist() for x in _create_batch(p, v, axis[lo:hi, None], axis, 0.0, 0.0))
+        rho_r = _create_batch(p, v, axis[lo:hi, None], axis, 0.0, 0.0)
+        coords = map(_coordinates, rho_r[:, 1, 1].real.tolist(), rho_r[:, 0, 1].tolist())
+        del rho_r  # before the rows grow, which would otherwise fragment the heap
         # the rows share the axis' float objects rather than one new float per point
-        rows += map(RegionRow, *zip(*itertools.product(alphas[lo:hi], alphas)), *coords)
+        points = itertools.product(alphas[lo:hi], alphas)
+        rows += map(RegionRow._make, map(operator.add, points, coords))
     return rows
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -172,6 +173,34 @@ def test_verify_rejects_oversized_chain_before_solving():
         assert result.stderr.startswith("error: ") and "n <= 18" in result.stderr
         assert "Traceback" not in result.stderr
         assert elapsed < 1.0
+
+
+def _limit_address_space():
+    """Child-side cap of 1 GiB, so a grid built before the cap check fails fast, not the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("step", ["1e-300", "1e-7"])
+def test_region_refuses_a_grid_above_the_cap_before_building_it(step, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "region.csv"
+    argv = ["region", "--n", "5", "--model", "all", "--step", step, "--out", str(out)]
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "spinrsc", *argv],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"error: grid step {float(step)!r} is too fine")
+    assert not out.exists()
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("command", ["amplitudes", "verify"])

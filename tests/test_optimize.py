@@ -508,6 +508,44 @@ def _assert_decided_with_margin(model, n, certified, package):
     assert abs(margin) >= 1e6 * abs(certified - package), (model, n, margin)
 
 
+def test_deciding_rows_first_fine_grid_peak_lies_in_the_coarse_bracket():
+    # Rescanned at step 0.005, no deciding row hides a significant maximum
+    # between coarse grid points before its bracket.  The largest earlier
+    # fine-grid maximum of these rows measured 1.43e-9 (all, n = 37).
+    step, earlier = 0.005, 0.0
+    for model, n in _DECIDING_ROWS:
+        dec = _dec(model.coupling, n)
+        [(a, b)] = optimize._brackets(dec, [model.objective])
+        gs = model.objective(amplitude_grid(dec, step, int(b / step) + 2))
+        left, mid, right = gs[:-2], gs[1:-1], gs[2:]
+        peaks = np.flatnonzero((mid >= left) & (mid > right))
+        significant = peaks[mid[peaks] > SIGNIFICANCE_FLOOR]
+        assert significant.size, (model, n)
+        first = int(significant[0])
+        assert a < step * (first + 1) < b, (model, n, a, step * (first + 1), b)
+        earlier = max(earlier, float(mid[peaks[peaks < first]].max(initial=0.0)))
+    assert earlier < 1e-3 * SIGNIFICANCE_FLOOR
+
+
+def test_closed_form_lam_plus_sq_overshoots_the_svd_by_rounding_only(full_sweep):
+    # lam_plus_sq's trace**2 - 4|det|**2 cancels near a perfect transfer, so it
+    # exceeds lam_plus**2 by up to 1.24e-14 (nn, n = 4, r_max_sq = 1 + 1.18e-14);
+    # the value is documented, not clipped, so the optimize goldens keep it.
+    rows, _ = full_sweep
+    checked = [
+        (row.r_max_sq, svd_decompose(amplitude_matrix(_dec(Coupling.ALL_NODE, row.n), row.t0)))
+        for row in rows
+        if row.model is SweepModel.ALL_WITH_V
+    ]
+    for n in range(4, 13):
+        protocol = optimal_protocol(_dec(Coupling.NEAREST_NEIGHBOR, n), with_v=True)
+        checked.append((protocol.r_max_sq, protocol.svd))
+    assert len(checked) == 127 + 9
+    for r_max_sq, svd in checked:
+        assert abs(r_max_sq - svd.lam.lam_plus**2) <= 2e-14
+        assert r_max_sq <= 1.0 + 2e-14
+
+
 def test_nn_sweep_rows_match_the_closed_form_chain(full_sweep):
     # The nearest-neighbour chain has E_m = cos(m pi/(n+1)) and
     # v_km = sqrt(2/(n+1)) sin(k m pi/(n+1)) (Bose, PRL 91, 207901 (2003)),

@@ -222,9 +222,13 @@ def test_creatable_params_trivial_cases():
     assert cp.beta1 == 0.0
     assert cp.beta2 == 0.0
 
-    cp = creatable_params(np.diag([0.5, 0.5]).astype(complex))
-    assert cp.lam == pytest.approx(0.5, abs=1e-14)
-    assert (cp.beta1, cp.beta2) == (0.0, 0.0)
+    # the maximally mixed state, with each signed zero of the coherence: the
+    # CSV prints a -0.0 as "-0", so both betas must be +0.0
+    for off in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+        cp = creatable_params(np.array([[0.5, off], [off.conjugate(), 0.5]]))
+        assert cp.lam == 0.5
+        assert [math.copysign(1.0, x) for x in (cp.beta1, cp.beta2)] == [1.0, 1.0]
+        assert (cp.beta1, cp.beta2) == (0.0, 0.0)
 
 
 def test_creatable_params_balanced_coherent_state():
@@ -345,6 +349,11 @@ def test_region_grid_step_validation():
         region_grid(protocol, dec, 0.0)
     with pytest.raises(ValueError, match="step"):
         region_grid(protocol, dec, 0.7)
+    # 5e-324 makes 1 / step overflow to inf; 0.000999 is the first step past the cap
+    for step in (1e-300, 5e-324, 1e-7, 0.000999):
+        with pytest.raises(ValueError, match="too fine"):
+            region_grid(protocol, dec, step)
+    assert len(rsc._grid_values(1e-3)) ** 2 == rsc.MAX_GRID_POINTS
 
 
 def test_rotation_extends_created_region_between_critical_lengths():
