@@ -26,7 +26,7 @@ from .optimize import (
 )
 from .oracle import full_transition_amplitude
 from .propagate import amplitude_matrix
-from .rsc import ControlParams, create_state, region_grid
+from .rsc import MAX_GRID_POINTS, ControlParams, create_state, region_grid
 
 __all__ = ["main", "entry"]
 
@@ -247,7 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("region", help="write the creatable-region grid to CSV")
     _add_chain_flags(s, with_v_flag=True)
-    s.add_argument("--step", type=_finite_float, required=True, help="grid step in (0, 0.5]")
+    axis = math.isqrt(MAX_GRID_POINTS)  # most grid values per axis that region_grid accepts
+    s.add_argument(
+        "--step", type=_finite_float, required=True,
+        help=f"grid step in (0, 0.5], with at most {axis} values per axis: 1e-3 or coarser",
+    )
     s.add_argument("--out", required=True, help="output CSV path")
     s.set_defaults(func=_cmd_region)
 

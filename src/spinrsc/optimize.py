@@ -27,7 +27,7 @@ import numpy as np
 
 from .chain import Coupling, CouplingModel, SpectralDecomposition, chain_decomposition
 from .errors import DegenerateProtocolError, MaximumNotFoundError, SpinRscError
-from .propagate import _p_stack, amplitude_grid, amplitude_matrix
+from .propagate import GRID_BLOCK, _p_stack, amplitude_grid, amplitude_matrix
 
 COARSE_STEP = 0.05
 REFINE_TOL = 1e-8
@@ -39,9 +39,13 @@ UNITARY_TOL = 1e-8
 # (n = 130, nn): 2.39 decades above it.  test_significance_floor_margins
 # keeps both margins checked.
 SIGNIFICANCE_FLOOR = 1e-3
-# Coarse-scan points per chain node in the first scan stage, which reaches
-# t = 1.6 n, past every first peak of the paper's sweep (t0 <= 1.571 n).
-SCAN_POINTS_PER_NODE = 32
+# Coarse-scan points per chain node in the first scan stage, which then runs
+# one grid block further, to t = 1.05 n + 3.2: past the arrival front at
+# t ~ n and its Airy tail.  A first hit and its right neighbour need at most
+# 20 n + 113 points over n = 4..200, both couplings (nn, n = 200); the least
+# spare is nn at n = 4, 128 of 148 points.
+# test_first_stage_holds_every_first_hit checks that no chain falls through.
+SCAN_POINTS_PER_NODE = 21
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 __all__ = [
@@ -176,18 +180,20 @@ def _brackets(
     """Bracket ``(a, b)`` of the first maximum of each objective, all from one coarse scan.
 
     The grid ``COARSE_STEP * k`` over ``[0, 4 n]`` is evaluated from ``k = 0``
-    in at most two stages: the first ``SCAN_POINTS_PER_NODE * n`` points, then,
-    only if some objective still has no maximum there, the whole window.
+    in at most two stages: the first ``SCAN_POINTS_PER_NODE * n + GRID_BLOCK``
+    points, then, only if some objective still has no maximum there, the
+    whole window.
     Every objective reads the same P stack.  A grid point is a hit when it
     does not fall below its left neighbour, strictly exceeds its right
     neighbour and rises above ``SIGNIFICANCE_FLOOR``; the surrounding pair of
-    grid points brackets the maximum.  A grid value depends on ``k`` alone,
-    so the first stage is a prefix of the second and no hit depends on the
-    stage that finds it.
+    grid points brackets the maximum.  The first stage, of at least three
+    grid blocks, equals the start of the second bit for bit for every chain
+    of n = 4..200 under one and two BLAS threads (see ``amplitude_grid``), so
+    there no hit depends on the stage that finds it.
     """
     step, floor, t_hi = COARSE_STEP, SIGNIFICANCE_FLOOR, 4.0 * dec.n
     total = int(math.floor(t_hi / step + 1e-9)) + 1
-    for count in (SCAN_POINTS_PER_NODE * dec.n, total):
+    for count in (SCAN_POINTS_PER_NODE * dec.n + GRID_BLOCK, total):
         ps = amplitude_grid(dec, step, count)
         brackets = []
         for objective in objectives:

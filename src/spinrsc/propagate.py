@@ -9,8 +9,11 @@ vacuum amplitude ``f0`` stays equal to ``a0``.  :func:`_p_stack` lays out
 every ``P``: a single-time one, from :func:`amplitude_matrix` (protocol,
 creation map, ``verify``) or the refine's probe, is one ``(4, n) @ (n, 1)``
 product of the decomposition's weights and the phases of that time, and a
-uniform grid (:func:`amplitude_grid`) factors its phases into block heads
-times one shared table, needing far fewer exponentials than points.
+uniform grid (:func:`amplitude_grid`) is one ``(4 B, n) @ (n, 64)`` product
+of the weights times ``B`` block phases against one shared table.  Both
+phase tables of a grid are products of two small exponential tables, so a
+grid needs far fewer exponentials than points; its values may differ from
+the single-time products in the last bits.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from .chain import SpectralDecomposition
 
 GRID_BLOCK = 64  # grid points sharing one block phase in amplitude_grid
+PHASE_SPLIT = 8  # fixed split j = PHASE_SPLIT q + r of a grid phase table's index
 
 __all__ = [
     "transition_amplitude",
@@ -49,12 +53,27 @@ def transition_amplitude(dec: SpectralDecomposition, k: int, j: int, t: float) -
 def _p_stack(runs) -> np.ndarray:
     """The ``(weights, phases)`` runs' products as the P stack, shape ``(2, 2, T)``.
 
-    A run's ``weights @ phases`` has shape ``(..., 4, m)``; its time points
-    run along the leading axis, then the ``m`` columns, and run after run.
+    A run's ``weights @ phases`` holds one P matrix per 4 rows, its 4
+    entries row-major: shape ``(..., 4, m)`` or ``(4 k, m)``.  Its time points
+    run along the matrices, then the ``m`` columns, and run after run.
     """
-    products = [weights @ phases for weights, phases in runs]
+    products = [(weights @ phases).reshape(-1, 4, phases.shape[-1]) for weights, phases in runs]
     ps = products[0] if len(products) == 1 else np.concatenate(products)
     return ps.swapaxes(0, -2).reshape(2, 2, -1)
+
+
+def _phase_table(energies: np.ndarray, dt: float, count: int) -> np.ndarray:
+    """``exp(-i E dt j)`` for ``0 <= j < count``, shape ``(count, n)``.
+
+    Each phase is ``exp(-i E PHASE_SPLIT dt q) * exp(-i E dt r)`` for
+    ``j = PHASE_SPLIT q + r``: ``ceil(count / PHASE_SPLIT) + PHASE_SPLIT``
+    exponentials per eigenvalue.  The split is fixed, so a phase depends on
+    ``j`` alone and a shorter table is a prefix of a longer one.
+    """
+    rows = -(-count // PHASE_SPLIT)
+    coarse = np.exp(-1j * (PHASE_SPLIT * dt) * np.outer(np.arange(rows), energies))
+    fine = np.exp(-1j * dt * np.outer(np.arange(PHASE_SPLIT), energies))
+    return (coarse[:, None, :] * fine).reshape(-1, energies.shape[0])[:count]
 
 
 def amplitude_grid(dec: SpectralDecomposition, step: float, count: int) -> np.ndarray:
@@ -62,17 +81,21 @@ def amplitude_grid(dec: SpectralDecomposition, step: float, count: int) -> np.nd
 
     Grid points come in blocks of ``GRID_BLOCK``, and the phase of point ``j``
     in block ``b`` factors as ``exp(-i E step GRID_BLOCK b) * exp(-i E step j)``.
-    The grid is one ``(B, 4, n) @ (n, GRID_BLOCK)`` run of :func:`_p_stack`,
-    the weights times each block phase against one base table: ``B`` blocks
-    cost ``n (B + GRID_BLOCK)`` exponentials, not one per eigenvalue and grid
-    point, and no ``n x T`` phase table is built.  A value depends on ``k``
-    alone, so a shorter grid is a prefix of a longer one bit for bit.
+    The grid is one ``(4 B, n) @ (n, GRID_BLOCK)`` run of :func:`_p_stack`:
+    the weights times each block phase, stacked, against one base table.
+    Both tables come from :func:`_phase_table`, so ``B`` blocks cost
+    ``n (ceil(B / 8) + 24)`` exponentials, and no ``n x T`` phase table is built.
+    Under one BLAS thread a value depends on ``k`` alone, so a shorter grid is
+    a prefix of a longer one bit for bit.  With more threads OpenBLAS may
+    round a one-block product differently (two threads, some n >= 129);
+    grids of two or more blocks were prefixes of longer ones in every case
+    checked.
     """
     blocks = -(-count // GRID_BLOCK)
-    heads = step * (GRID_BLOCK * np.arange(blocks))
-    block_phases = np.exp(-1j * np.outer(heads, dec.energies))  # (B, n)
-    base = np.exp(-1j * step * np.outer(dec.energies, np.arange(GRID_BLOCK)))  # (n, 64)
-    return _p_stack([(dec.weights * block_phases[:, None, :], base)])[:, :, :count]
+    block_phases = _phase_table(dec.energies, GRID_BLOCK * step, blocks)  # (B, n)
+    base = _phase_table(dec.energies, step, GRID_BLOCK).T  # (n, 64)
+    weights = (dec.weights * block_phases[:, None, :]).reshape(-1, dec.n)  # (4 B, n)
+    return _p_stack([(weights, base)])[:, :, :count]
 
 
 def amplitude_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:

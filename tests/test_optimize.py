@@ -1,7 +1,9 @@
 import cmath
+import csv
 import functools
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from spinrsc import optimize
 from spinrsc.cli import main
 from spinrsc.optimize import COARSE_STEP, SIGNIFICANCE_FLOOR
 from spinrsc.propagate import amplitude_grid
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,15 +386,48 @@ def test_sweep_rows_equal_single_model_searches():
 
 
 def test_peakless_first_stage_brackets_like_default_scan(monkeypatch):
-    # one point per node ends the first stage before any first peak, so every
-    # bracket comes from the whole-window second stage; a grid value depends
-    # on its index alone, so the brackets and maxima equal the default scan's
+    # one point per node and one grid block end the first stage before any
+    # first peak, so every bracket comes from the whole-window second stage;
+    # the first stage is a prefix of the whole window, so the brackets and
+    # maxima equal the default scan's
     chains = [(kind, n) for kind in Coupling for n in (5, 16, 33)]
     expected = [maximize_over_time(_dec(kind, n), objective)
                 for kind, n in chains for objective in (lam_plus_sq, row_norm_sq)]
     monkeypatch.setattr(optimize, "SCAN_POINTS_PER_NODE", 1)
     got = [maximize_over_time(_dec(kind, n), objective)
            for kind, n in chains for objective in (lam_plus_sq, row_norm_sq)]
+    assert got == expected
+
+
+def test_first_stage_holds_every_first_hit(monkeypatch):
+    # The coarse scan's one output is the grid index k of each objective's
+    # first hit, bracketed by points k - 1 and k + 1.  The grid's last bits
+    # may change with the BLAS thread count or the grid's algebra; k may not.
+    # scan_first_hits.csv holds k for n = 4..200, both couplings, as recorded
+    # before the grid took its flat product and split phase tables.  Each hit
+    # and its right neighbour lie in the first stage, so no chain scans twice.
+    with open(GOLDEN / "scan_first_hits.csv", newline="") as f:
+        expected = {(r["coupling"], int(r["n"]), r["objective"]): int(r["k"])
+                    for r in csv.DictReader(f)}
+    counts = []
+
+    def grid(dec, step, count):
+        counts.append(count)
+        return amplitude_grid(dec, step, count)
+
+    monkeypatch.setattr(optimize, "amplitude_grid", grid)
+    objectives = [row_norm_sq, lam_plus_sq]
+    got = {}
+    for kind in Coupling:
+        for n in range(4, 201):
+            counts.clear()
+            brackets = optimize._brackets(_dec(kind, n), objectives)
+            assert len(counts) == 1, (kind, n, counts)
+            for objective, (a, b) in zip(objectives, brackets):
+                k = round(a / COARSE_STEP) + 1
+                assert (a, b) == (COARSE_STEP * (k - 1), COARSE_STEP * (k + 1))
+                assert k + 1 < counts[0], (kind, n, objective.__name__, k, counts[0])
+                got[kind.value, n, objective.__name__] = k
     assert got == expected
 
 

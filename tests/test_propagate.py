@@ -16,6 +16,7 @@ from spinrsc import (
     transition_amplitude,
 )
 from spinrsc import optimize
+from spinrsc.optimize import SCAN_POINTS_PER_NODE
 from spinrsc.oracle import full_transition_amplitude
 from spinrsc.propagate import GRID_BLOCK, amplitude_grid
 
@@ -66,7 +67,8 @@ def test_amplitude_grid_prefix_is_bit_identical(kind, n):
     dec = _dec(kind, n)
     step = 0.05
     full = amplitude_grid(dec, step, 80 * n + 1)
-    for count in (1, GRID_BLOCK - 1, 5 * GRID_BLOCK + 7, 32 * n):
+    first_stage = SCAN_POINTS_PER_NODE * n + GRID_BLOCK
+    for count in (1, GRID_BLOCK - 1, 5 * GRID_BLOCK + 7, first_stage, 32 * n):
         prefix = amplitude_grid(dec, step, count)
         assert prefix.shape == (2, 2, count)
         assert np.array_equal(prefix.view(np.int64), full[:, :, :count].view(np.int64))
