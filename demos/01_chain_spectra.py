@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Build chain couplings and inspect the one-excitation spectrum.
+"""Build chain Hamiltonians and inspect the one-excitation spectrum.
 
 The chain couples node pairs either nearest-neighbour only or all-to-all
 with an inverse-cube falloff; the single-excitation Hamiltonian is half the
@@ -12,7 +12,6 @@ import numpy as np
 from spinrsc import (
     Coupling,
     CouplingModel,
-    build_couplings,
     build_hamiltonian,
     chain_decomposition,
 )
@@ -22,8 +21,8 @@ def main():
     n = 8
     for kind in Coupling:
         model = CouplingModel(kind, n)
-        d = build_couplings(model)
         h = build_hamiltonian(model)
+        d = 2 * h  # the couplings: h is half of them
         dec = chain_decomposition(model)
         print(f"--- {kind.value} chain, n = {n} ---")
         print(f"coupling of the first pair      d[1,2] = {d[0, 1]:.6f}")

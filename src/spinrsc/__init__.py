@@ -14,7 +14,6 @@ from .chain import (
     Coupling,
     CouplingModel,
     SpectralDecomposition,
-    build_couplings,
     build_hamiltonian,
     chain_decomposition,
 )

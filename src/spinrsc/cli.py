@@ -87,9 +87,15 @@ def _check_time(t: float) -> None:
         raise ValueError(f"time {t!r} is too large: |t| must not exceed {MAX_TIME:g}")
 
 
-def _chain(args):
-    """Decomposition of the chain named by the ``--model`` and ``--n`` flags."""
-    return chain_decomposition(CouplingModel(args.model, args.n))
+def _model(args) -> CouplingModel:
+    """The chain named by the ``--model`` and ``--n`` flags."""
+    return CouplingModel(args.model, args.n)
+
+
+def _protocol(args):
+    """The flags' chain decomposition and its optimal protocol, ``--with-v`` as given."""
+    dec = chain_decomposition(_model(args))
+    return dec, optimal_protocol(dec, with_v=args.with_v)
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
@@ -98,7 +104,7 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
 
 
 def _cmd_hamiltonian(args) -> int:
-    h = build_hamiltonian(CouplingModel(args.model, args.n))
+    h = build_hamiltonian(_model(args))
     for row in h:
         print(",".join(_fmt(float(x)) for x in row))
     return 0
@@ -106,15 +112,14 @@ def _cmd_hamiltonian(args) -> int:
 
 def _cmd_amplitudes(args) -> int:
     _check_time(args.t)
-    p = amplitude_matrix(_chain(args), args.t)
+    p = amplitude_matrix(chain_decomposition(_model(args)), args.t)
     names = ("p_nm1_1", "p_nm1_2", "p_n_1", "p_n_2")  # P row-major: (N-1, N) x (1, 2)
     print(_render(dict(zip(names, p.flat))))
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    dec = _chain(args)
-    protocol = optimal_protocol(dec, with_v=args.with_v)
+    _, protocol = _protocol(args)
     out = {
         "t0": protocol.t0,
         "r_max_sq": protocol.r_max_sq,
@@ -155,8 +160,7 @@ def _cmd_critical_length(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    dec = _chain(args)
-    protocol = optimal_protocol(dec, with_v=args.with_v)
+    dec, protocol = _protocol(args)
     rows = region_grid(protocol, dec, args.step)
     template = ",".join([_FLOAT] * 5)  # one field per CSV column
     lines = (template % row for row in rows)
@@ -165,8 +169,7 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_create(args) -> int:
-    dec = _chain(args)
-    protocol = optimal_protocol(dec, with_v=args.with_v)
+    dec, protocol = _protocol(args)
     controls = ControlParams(args.alpha1, args.alpha2, args.phi1, args.phi2)
     rho, params = create_state(protocol, dec, controls)
     out = {
@@ -182,7 +185,7 @@ def _cmd_create(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_time(args.t)
-    model = CouplingModel(args.model, args.n)
+    model = _model(args)
     # P row-major, as amplitude_matrix lays it out: (N-1, N) x (1, 2)
     pairs = [(k, j) for k in (model.n - 1, model.n) for j in (1, 2)]
     # the oracle rejects chains beyond its size cap, so it runs before the eigensolve
@@ -281,8 +284,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
     sys.exit(main())

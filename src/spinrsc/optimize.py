@@ -27,7 +27,7 @@ import numpy as np
 
 from .chain import Coupling, CouplingModel, SpectralDecomposition, chain_decomposition
 from .errors import DegenerateProtocolError, MaximumNotFoundError, SpinRscError
-from .propagate import GRID_BLOCK, _p_stack, amplitude_grid, amplitude_matrix
+from .propagate import GRID_BLOCK, _p_stack, _weights, amplitude_grid, amplitude_matrix
 
 COARSE_STEP = 0.05
 REFINE_TOL = 1e-8
@@ -226,8 +226,9 @@ def _refine_rows(
     dec: SpectralDecomposition, objectives: Sequence[ObjectiveFn]
 ) -> list[_RefineRow]:
     """The scanned brackets of a chain as refine rows; they keep no eigenvectors."""
+    weights = _weights(dec)  # one array for every row of the chain
     return [
-        _RefineRow(dec.energies, dec.weights, objective, a, b)
+        _RefineRow(dec.energies, weights, objective, a, b)
         for objective, (a, b) in zip(objectives, _brackets(dec, objectives))
     ]
 

@@ -27,7 +27,7 @@ import operator
 
 import numpy as np
 
-from .chain import Coupling, CouplingModel, build_couplings
+from .chain import Coupling, CouplingModel, build_hamiltonian
 from .errors import SpinRscError
 
 MAX_FULL_NODES = 18
@@ -50,17 +50,17 @@ def basis_index(node: int) -> int:
 
 
 def _coupled_pairs(model: CouplingModel) -> list[tuple[int, int, float]]:
-    """``(i, j, d_ij / 2)`` for every coupled pair of bits i < j.
+    """``(i, j, h_ij)`` for every coupled pair of bits i < j.
 
     S^x S^x + S^y S^y swaps an excitation between bits i and j with
-    amplitude d_ij / 2 and leaves every other state alone.
+    amplitude h_ij = d_ij / 2 and leaves every other state alone.
     """
-    d = build_couplings(model)
+    h = build_hamiltonian(model)
     return [
-        (i, j, d[i, j] / 2)
+        (i, j, h[i, j])
         for i in range(model.n)
         for j in range(i + 1, model.n)
-        if d[i, j] != 0.0
+        if h[i, j] != 0.0
     ]
 
 

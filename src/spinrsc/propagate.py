@@ -5,10 +5,12 @@ chain eigenpairs, so thousands of time samples reuse a single dense
 eigensolve.  The 2x2 block from the sender nodes (1, 2) to the
 extended-receiver nodes (N-1, N) is the matrix ``P``: a sender state with
 excitation amplitudes ``(a1, a2)`` arrives as ``f = P (a1, a2)^T``, while the
-vacuum amplitude ``f0`` stays equal to ``a0``.  :func:`_p_stack` lays out
-every ``P``: a single-time one, from :func:`amplitude_matrix` (protocol,
+vacuum amplitude ``f0`` stays equal to ``a0``.  This module alone knows
+where the sender and the receiver sit: :func:`_weights` forms the ``(4, n)``
+spectral weights of ``P`` from a decomposition, and :func:`_p_stack` lays out
+every ``P``.  A single-time one, from :func:`amplitude_matrix` (protocol,
 creation map, ``verify``) or the refine's probe, is one ``(4, n) @ (n, 1)``
-product of the decomposition's weights and the phases of that time, and a
+product of the weights and the phases of that time, and a
 uniform grid (:func:`amplitude_grid`) is one ``(4 B, n) @ (n, 64)`` product
 of the weights times ``B`` block phases against one shared table.  Both
 phase tables of a grid are products of two small exponential tables, so a
@@ -48,6 +50,17 @@ def transition_amplitude(dec: SpectralDecomposition, k: int, j: int, t: float) -
         raise ValueError(f"node indices must lie in 1..{n}, got k={k}, j={j}")
     w = dec.vectors[k - 1] * dec.vectors[j - 1]
     return complex(np.sum(w * np.exp(-1j * dec.energies * t)))
+
+
+def _weights(dec: SpectralDecomposition) -> np.ndarray:
+    """Spectral weights ``v[k, m] v[j, m]`` of the four P entries, shape ``(4, n)``.
+
+    Rows are ``P[0, 0], P[0, 1], P[1, 0], P[1, 1]``: destinations (N-1, N),
+    sources (1, 2).
+    """
+    if dec.n < 4:
+        raise ValueError("sender and extended receiver overlap for n < 4")
+    return dec.vectors[[-2, -2, -1, -1]] * dec.vectors[[0, 1, 0, 1]]
 
 
 def _p_stack(runs) -> np.ndarray:
@@ -94,10 +107,10 @@ def amplitude_grid(dec: SpectralDecomposition, step: float, count: int) -> np.nd
     blocks = -(-count // GRID_BLOCK)
     block_phases = _phase_table(dec.energies, GRID_BLOCK * step, blocks)  # (B, n)
     base = _phase_table(dec.energies, step, GRID_BLOCK).T  # (n, 64)
-    weights = (dec.weights * block_phases[:, None, :]).reshape(-1, dec.n)  # (4 B, n)
+    weights = (_weights(dec) * block_phases[:, None, :]).reshape(-1, dec.n)  # (4 B, n)
     return _p_stack([(weights, base)])[:, :, :count]
 
 
 def amplitude_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """The 2x2 sender-to-extended-receiver transition matrix at time ``t``."""
-    return _p_stack([(dec.weights, np.exp(-1j * (t * dec.energies))[:, None])])[:, :, 0]
+    return _p_stack([(_weights(dec), np.exp(-1j * (t * dec.energies))[:, None])])[:, :, 0]

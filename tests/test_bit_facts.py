@@ -19,7 +19,7 @@ import pytest
 
 from spinrsc import Coupling, CouplingModel, chain_decomposition, lam_plus_sq, optimal_protocol
 from spinrsc import row_norm_sq
-from spinrsc.propagate import amplitude_grid
+from spinrsc.propagate import _weights, amplitude_grid
 from spinrsc.rsc import _arrivals, _extended_density, _scalar
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,8 +50,9 @@ def test_stacked_weight_matmul_equals_the_single_products(chain):
     dec, _ = chain
     rng = np.random.default_rng(1)
     phases = np.exp(-1j * np.outer(rng.uniform(0.0, 80.0, 64), dec.energies))
-    stacked = np.matmul(np.broadcast_to(dec.weights, (64, *dec.weights.shape)), phases[:, :, None])
-    single = np.stack([dec.weights @ row[:, None] for row in phases])
+    weights = _weights(dec)
+    stacked = np.matmul(np.broadcast_to(weights, (64, *weights.shape)), phases[:, :, None])
+    single = np.stack([weights @ row[:, None] for row in phases])
     assert _same_bits(stacked, single), _broken(
         "a stacked (R, 4, n) @ (R, n, 1) matmul equals each (4, n) @ (n, 1) product"
     )

@@ -5,30 +5,35 @@ from spinrsc import (
     Coupling,
     CouplingModel,
     EigensolverError,
-    build_couplings,
     build_hamiltonian,
     chain_decomposition,
     sweep,
 )
 from spinrsc.cli import main
+from spinrsc.propagate import _weights
+
+
+def _couplings(model: CouplingModel) -> np.ndarray:
+    """The coupling matrix d = 2 h; doubling a half is exact."""
+    return 2 * build_hamiltonian(model)
 
 
 def test_all_node_couplings_decay_with_cubed_distance():
-    d = build_couplings(CouplingModel(Coupling.ALL_NODE, 4))
+    d = _couplings(CouplingModel(Coupling.ALL_NODE, 4))
     # 1-based nodes (1,3) and (1,4)
     assert d[0, 2] == pytest.approx(0.125, abs=0)
     assert d[0, 3] == pytest.approx(1.0 / 27.0, rel=1e-15)
 
 
 def test_nearest_neighbor_couplings_are_adjacency():
-    d = build_couplings(CouplingModel(Coupling.NEAREST_NEIGHBOR, 5))
+    d = _couplings(CouplingModel(Coupling.NEAREST_NEIGHBOR, 5))
     assert d[1, 3] == 0.0  # nodes 2 and 4
     assert d[2, 3] == 1.0  # nodes 3 and 4
 
 
 def test_first_pair_coupling_is_exactly_one():
     for kind in Coupling:
-        d = build_couplings(CouplingModel(kind, 7))
+        d = _couplings(CouplingModel(kind, 7))
         assert d[0, 1] == 1.0
 
 
@@ -40,11 +45,11 @@ def test_short_chain_rejected():
 
 
 def test_coupling_kind_is_a_member_or_its_value():
-    # a label once fell through build_couplings to the all-node chain
+    # a label once fell through the coupling builder to the all-node chain
     for kind in Coupling:
         model = CouplingModel(kind.value, 6)
         assert model.kind is kind and model == CouplingModel(kind, 6)
-        assert np.array_equal(build_couplings(model), build_couplings(CouplingModel(kind, 6)))
+        assert np.array_equal(build_hamiltonian(model), build_hamiltonian(CouplingModel(kind, 6)))
     for bad in ("NN", "nearest", 42, None):
         with pytest.raises(ValueError, match="Coupling"):
             CouplingModel(bad, 6)
@@ -52,15 +57,15 @@ def test_coupling_kind_is_a_member_or_its_value():
 
 def test_couplings_symmetric_zero_diagonal():
     for kind in Coupling:
-        d = build_couplings(CouplingModel(kind, 9))
+        d = _couplings(CouplingModel(kind, 9))
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
         assert np.all(d >= 0.0)
 
 
 def test_nearest_neighbor_pattern_included_in_all_node():
-    d_nn = build_couplings(CouplingModel(Coupling.NEAREST_NEIGHBOR, 8))
-    d_all = build_couplings(CouplingModel(Coupling.ALL_NODE, 8))
+    d_nn = _couplings(CouplingModel(Coupling.NEAREST_NEIGHBOR, 8))
+    d_all = _couplings(CouplingModel(Coupling.ALL_NODE, 8))
     adjacent = np.abs(np.subtract.outer(range(8), range(8))) == 1
     assert np.array_equal(d_nn[adjacent], d_all[adjacent])
     assert np.all(d_nn[adjacent] == 1.0)
@@ -166,7 +171,8 @@ def test_every_sweep_chain_is_mirror_symmetric():
     for kind in Coupling:
         for n in range(4, 131):
             dec = chain_decomposition(CouplingModel(kind, n))
-            assert np.max(np.abs(dec.weights[0] - dec.weights[3])) <= 1e-15, (kind, n)
+            weights = _weights(dec)
+            assert np.max(np.abs(weights[0] - weights[3])) <= 1e-15, (kind, n)
             v, mirrored = dec.vectors, dec.vectors[::-1]
             even = np.max(np.abs(mirrored - v), axis=0)
             odd = np.max(np.abs(mirrored + v), axis=0)

@@ -31,7 +31,7 @@ from spinrsc import (
 from spinrsc import optimize
 from spinrsc.cli import main
 from spinrsc.optimize import COARSE_STEP, SIGNIFICANCE_FLOOR
-from spinrsc.propagate import amplitude_grid
+from spinrsc.propagate import _weights, amplitude_grid
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -471,7 +471,7 @@ def test_lock_step_refine_equals_scalar_golden_section():
                 a, b = optimize._brackets(dec, [objective])[0]
                 mid, width = 0.5 * (a + b), next(widths)
                 searches.append((dec, objective, mid - 0.5 * width, mid + 0.5 * width))
-    rows = [optimize._RefineRow(dec.energies, dec.weights, objective, a, b)
+    rows = [optimize._RefineRow(dec.energies, _weights(dec), objective, a, b)
             for dec, objective, a, b in searches]
     expected = [_scalar_golden_section(*search) for search in searches]
     assert optimize._refine(rows) == expected

@@ -17,7 +17,6 @@ from spinrsc import (
     transition_amplitude,
 )
 from spinrsc import SpinRscError, oracle
-from spinrsc.chain import build_couplings
 from spinrsc.cli import main
 from spinrsc.oracle import _apply, _coupled_pairs, _full_spectrum, basis_index
 
@@ -36,6 +35,14 @@ def test_full_hamiltonian_conserves_excitation_number():
         assert np.max(np.abs(h - h.T)) == 0.0
         iz = _total_z(5)
         assert np.max(np.abs(h @ iz - iz @ h)) < 1e-10
+
+
+def _node_couplings(model: CouplingModel) -> np.ndarray:
+    """Couplings from node distance alone: ``|i - j|**-3``, or adjacency for nn."""
+    dist = np.abs(np.subtract.outer(range(model.n), range(model.n))).astype(float)
+    if model.kind is Coupling.NEAREST_NEIGHBOR:
+        return (dist == 1.0).astype(float)
+    return np.where(dist > 0.0, dist, np.inf) ** -3.0
 
 
 def _kron_hamiltonian(model: CouplingModel) -> np.ndarray:
@@ -57,7 +64,7 @@ def _kron_hamiltonian(model: CouplingModel) -> np.ndarray:
             out = np.kron(out, factor)
         return out
 
-    d = build_couplings(model)
+    d = _node_couplings(model)
     h = np.zeros((1 << model.n, 1 << model.n))
     for i in range(model.n):
         for j in range(i + 1, model.n):
@@ -96,7 +103,7 @@ def _table_apply(model: CouplingModel, v: np.ndarray) -> np.ndarray:
 
     ``v`` may be a vector or a matrix of column vectors; ``np.eye(2^N)`` gives the dense H.
     """
-    d = build_couplings(model)
+    d = _node_couplings(model)
     states = np.arange(1 << model.n)
     out = np.zeros_like(v)
     for i in range(model.n):

@@ -18,7 +18,7 @@ from spinrsc import (
 from spinrsc import optimize
 from spinrsc.optimize import SCAN_POINTS_PER_NODE
 from spinrsc.oracle import full_transition_amplitude
-from spinrsc.propagate import GRID_BLOCK, amplitude_grid
+from spinrsc.propagate import GRID_BLOCK, _weights, amplitude_grid
 
 # frozen from the analytic spectral sum of the 4-site half-hopping chain:
 # sum_m sqrt(2/5) sin(4 m pi/5) * sqrt(2/5) sin(m pi/5) * exp(-i cos(m pi/5) pi)
@@ -122,18 +122,18 @@ def test_amplitude_matrix_requires_disjoint_blocks():
 
 def test_series_matches_single_time_calls():
     # the refine probes a series of times in one batch, each its own
-    # (4, n) @ (n, 1) product of the decomposition's weights, so batching
+    # (4, n) @ (n, 1) product of the chain's P weights, so batching
     # changes no bit against amplitude_matrix at each time
     for kind in Coupling:
         for n in (4, 9, 33, 109):
             dec = _dec(kind, n)
-            assert dec.weights is dec.weights and not dec.weights.flags.writeable
+            weights = _weights(dec)
             ts = np.random.default_rng(n).uniform(0.0, 4.0 * n, size=120)
             for objective in (lam_plus_sq, row_norm_sq):
                 # a zero-width bracket returns its probe at t itself; an objective
                 # takes a (2, 2, T) stack (on a bare 2x2, lam_plus_sq's determinant
                 # uses numpy's scalar complex multiply, which rounds differently)
-                rows = [optimize._RefineRow(dec.energies, dec.weights, objective, t, t) for t in ts]
+                rows = [optimize._RefineRow(dec.energies, weights, objective, t, t) for t in ts]
                 t0s, probed = zip(*optimize._refine(rows))
                 direct = [objective(amplitude_matrix(dec, t)[:, :, None])[0] for t in ts]
                 assert list(t0s) == ts.tolist()
