@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import re
 import sys
 from collections.abc import Iterable
 
@@ -214,8 +215,22 @@ def _add_chain_flags(sub, with_v_flag: bool = False) -> None:
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that reads ``-1e-3`` or ``-inf`` after a flag as its value.
+
+    argparse knows only ``-12`` and ``-1.5`` as negative numbers; each
+    subparser decides for itself, and ``add_subparsers`` builds this class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinrsc",
         description="Remote state creation through homogeneous spin-1/2 XY chains.",
     )

@@ -6,14 +6,16 @@ coupled pair of nodes i < j it swaps an excitation between bits i and j
 with the matrix element d_ij / 2.  ``_apply`` adds each such term through
 strided views of the 2^N vector and is the one encoding of that action;
 no dense 2^N x 2^N matrix is ever formed.
-``full_transition_amplitude`` runs Lanczos from |j> with full
-reorthogonalisation until the Krylov space closes (beta ~ 0); on that
-invariant space ``exp(-i H t)|j> = V S exp(-i Lambda t) S^T e1`` holds
-exactly for every t.  H conserves excitation number, so the space of a
-one-excitation node closes within n vectors and the vacuum's at one; a
-space still open after n vectors is an error, so agreement with the
+``full_transition_amplitude`` runs one Lanczos, with full
+reorthogonalisation, per chain and excitation sector until its Krylov space
+closes (beta ~ 0); on that invariant space ``exp(-i H t)`` is exact for
+every t and every pair of nodes in the sector.  H conserves excitation
+number: the vacuum's space closes at one vector, and node 1's is the whole
+one-excitation sector, as every eigenvector has weight on node 1
+(sin(pi m / (n + 1)) for nn; checked for all-node at every n accepted).
+Closing before or after n vectors is an error, so agreement with the
 spectral-sum amplitudes validates the single-excitation reduction end to
-end.  Only the rows of ``V S`` on the vacuum and the n one-excitation
+end.  Only the eigenvectors' rows on the vacuum and the n one-excitation
 states are kept.  The sampling maximiser gives an independent lower bound
 on the best transfer probability that the SVD route must dominate; it draws
 senders from Marsaglia's unit disc and evaluates ``|R a|^2`` as a real form.
@@ -32,7 +34,7 @@ from .errors import SpinRscError
 
 MAX_FULL_NODES = 18
 # Lanczos stops once the new residual falls below this fraction of |H v|.
-# Closing residuals measure ~1e-31 for n <= 18; the genuine ones stay above 0.04.
+# From node 1, closing residuals measure <= 1e-31 for n <= 18 and the genuine ones >= 0.29.
 BREAKDOWN_TOL = 1e-12
 SAMPLE_CHUNK = 1 << 14  # candidate disc points drawn and evaluated at a time
 
@@ -80,17 +82,18 @@ def _apply(pairs, n: int, v: np.ndarray, out: np.ndarray) -> None:
 
 
 @functools.lru_cache(maxsize=4)
-def _full_spectrum(kind: Coupling, n: int, j: int):
-    """Eigenpairs of the full H on the Krylov space of |j>, found by Lanczos.
+def _full_spectrum(kind: Coupling, n: int, sector: int):
+    """Eigenpairs of the full H on excitation sector 0 or 1, by one Lanczos.
 
-    Returns ``(evals, rows, weights)``: ``rows[k]`` holds the components of
-    the eigenvectors (eigenvalues ``evals``) along node k, 0 for the vacuum,
-    and ``weights`` those along |j>.  Raises ``SpinRscError`` if the space
-    is still open after n Lanczos vectors.
+    Sector 0 is the vacuum; sector 1 is the Krylov space of node 1.  Returns
+    ``(evals, rows)``: ``rows[k]`` holds the eigenvectors' components along
+    node k, 0 for the vacuum, so ``rows[j]`` weights any source j of the
+    sector.  Raises ``SpinRscError`` unless node 1's space closes after
+    exactly n vectors.
     """
     pairs, dim = _coupled_pairs(CouplingModel(kind, n)), 1 << n
     basis = np.zeros((n, dim))  # rows: the orthonormal Lanczos vectors
-    basis[0, basis_index(j)] = 1.0
+    basis[0, basis_index(sector)] = 1.0
     w = np.empty(dim)  # the residual of the newest vector
     alphas, betas = [], []
     k = 1  # Lanczos vectors so far
@@ -104,14 +107,16 @@ def _full_spectrum(kind: Coupling, n: int, j: int):
         if beta <= BREAKDOWN_TOL * scale:
             break
         if k == n:
-            raise SpinRscError(f"Krylov space of |{j}> did not close within {n} vectors")
+            raise SpinRscError(f"Krylov space of |{sector}> did not close within {n} vectors")
         betas.append(beta)
         np.divide(w, beta, out=basis[k])
         k += 1
+    if sector and k < n:
+        raise SpinRscError(f"node 1's space misses one-excitation states: closed at {k} of {n}")
     tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     evals, s = np.linalg.eigh(tri)
     nodes = [basis_index(node) for node in range(n + 1)]
-    return evals, basis[:k, nodes].T @ s, s[0]
+    return evals, basis[:k, nodes].T @ s
 
 
 def full_transition_amplitude(model: CouplingModel, k: int, j: int, t: float) -> complex:
@@ -129,8 +134,8 @@ def full_transition_amplitude(model: CouplingModel, k: int, j: int, t: float) ->
         raise ValueError(f"node labels must be integers, got k={k!r}, j={j!r}") from None
     if not (0 <= k <= model.n and 0 <= j <= model.n):
         raise ValueError(f"node labels must lie in 0..{model.n}, got k={k}, j={j}")
-    evals, rows, weights = _full_spectrum(model.kind, model.n, j)
-    return complex(rows[k] @ (weights * np.exp(-1j * evals * t)))
+    evals, rows = _full_spectrum(model.kind, model.n, min(j, 1))
+    return complex(rows[k] @ (rows[j] * np.exp(-1j * evals * t)))
 
 
 class TransferMode(enum.Enum):

@@ -361,6 +361,55 @@ def test_critical_length_rejects_threshold_outside_unit_interval(value, capsys):
     assert f"--threshold: must lie in [0, 1], got '{value}'" in err
 
 
+def _outcome(argv, capsys):
+    """``(exit code, stdout, stderr)`` of ``main``, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_CHAIN = ["--n", "5", "--model", "nn"]
+_ANGLES = ("alpha1", "alpha2", "phi1", "phi2")
+_FLOAT_FLAGS = [
+    (["amplitudes", *_CHAIN], "t"),
+    (["verify", *_CHAIN], "t"),
+    (["critical-length", "--n-max", "6"], "threshold"),
+    (["region", *_CHAIN, "--out", "{out}"], "step"),
+    *[(["create", *_CHAIN, *(f"--{a}=0.5" for a in _ANGLES if a != angle)], angle)
+      for angle in _ANGLES],
+]
+
+
+@pytest.mark.parametrize("prefix, flag", _FLOAT_FLAGS)
+@pytest.mark.parametrize("value", ["-1e-3", "-5E-324", "-.5e1", "-1.", "-inf"])
+def test_a_float_flag_takes_a_negative_value_as_a_separate_token(
+    prefix, flag, value, tmp_path, capsys
+):
+    # argparse would read "-1e-3" after a separate flag as an option and exit 2
+    argv = [arg.replace("{out}", str(tmp_path / "out.csv")) for arg in prefix]
+    separate = _outcome([*argv, f"--{flag}", value], capsys)
+    assert separate == _outcome([*argv, f"--{flag}={value}"], capsys)
+    assert "expected one argument" not in separate[2]
+
+
+def test_a_small_negative_time_in_exponent_form_is_a_time(capsys):
+    code, out, err = _outcome(["amplitudes", *_CHAIN, "--t", "-1e-3"], capsys)
+    assert (code, err) == (0, "")
+    assert set(json.loads(out)) == {"p_nm1_1", "p_nm1_2", "p_n_1", "p_n_2"}
+
+
+def test_a_negative_angle_in_exponent_form_is_a_range_error(capsys):
+    argv = ["create", *_CHAIN, "--alpha1", "0.3", "--alpha2", "-1e-300", "--phi1", "0",
+            "--phi2", "0"]
+    code, out, err = _outcome(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "alpha2 must lie in [0, 1]" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["hamiltonian", "--n", "4"])  # missing --model

@@ -49,26 +49,30 @@ MODEL_LISTS = _often(st.sampled_from(["nn", "all,all+v", "nn,all,all+v"]),
 def _argv(draw, command):
     """One argv for ``command``; ``{out}`` stands for the output path.
 
-    A float goes in as ``--flag=value``: argparse would read ``-5e-324`` or
-    ``-inf`` after a separate ``--flag`` as an option and exit 2 before the
-    value's own check runs.
+    A float goes in as ``--flag=value`` or as ``--flag value``, so a negative
+    value such as ``-5e-324`` or ``-inf`` also comes as a token of its own.
     """
+
+    def real(flag, values):
+        value = draw(values)
+        return [f"--{flag}={value}"] if draw(st.booleans()) else [f"--{flag}", value]
+
     n = draw(st.integers(-2, 12) if command == "verify" else LENGTHS)
     chain = [command, "--n", str(n), "--model", draw(MODELS)]
     with_v = ["--with-v"] if draw(st.booleans()) else []
     out = ["--out", draw(_often(st.just("{out}"), st.just("{out}/missing.csv")))]
     n_max = n + draw(st.integers(-1, 3))  # a sweep spans at most four lengths
     lengths = ["--n-min", str(n), "--n-max", str(n_max), "--models", draw(MODEL_LISTS)]
-    angles = [f"--{name}={draw(UNIT)}" for name in ("alpha1", "alpha2", "phi1", "phi2")]
+    angles = [arg for name in ("alpha1", "alpha2", "phi1", "phi2") for arg in real(name, UNIT)]
     return {
         "hamiltonian": chain,
-        "amplitudes": [*chain, f"--t={draw(TIMES)}"],
+        "amplitudes": [*chain, *real("t", TIMES)],
         "optimize": [*chain, *with_v],
         "sweep": [command, *lengths, *out],
-        "critical-length": [command, f"--threshold={draw(UNIT)}", *lengths],
-        "region": [*chain, *with_v, f"--step={draw(STEPS)}", *out],
+        "critical-length": [command, *real("threshold", UNIT), *lengths],
+        "region": [*chain, *with_v, *real("step", STEPS), *out],
         "create": [*chain, *with_v, *angles],
-        "verify": [*chain, f"--t={draw(TIMES)}"],
+        "verify": [*chain, *real("t", TIMES)],
     }[command]
 
 
@@ -147,6 +151,7 @@ def test_cli_contract_on_drawn_argv(command, data):
         code, stdout, stderr = _run([arg.replace("{out}", out_path) for arg in argv])
         assert code in (0, 1, 2)
         assert "Traceback" not in stderr
+        assert "expected one argument" not in stderr  # every drawn flag has its value
         if code == 1:
             assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
         if code == 0:

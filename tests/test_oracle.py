@@ -158,6 +158,67 @@ def test_a_krylov_space_still_open_after_n_vectors_is_an_error(monkeypatch, caps
         _full_spectrum.cache_clear()
 
 
+def test_node_one_spans_the_one_excitation_sector():
+    # every eigenvector of the one-excitation H has weight on node 1, so
+    # node 1's Krylov space closes after exactly n vectors
+    for kind in Coupling:
+        for n in range(4, 15):
+            evals, rows = _full_spectrum(kind, n, 1)
+            assert evals.shape == (n,) and rows.shape == (n + 1, n), (kind, n)
+
+
+def test_a_node_one_space_that_closes_early_is_an_error(monkeypatch, capsys):
+    # an H that annihilates everything closes node 1's space after one vector
+    monkeypatch.setattr(oracle, "_apply", lambda pairs, n, v, out: out.fill(0.0))
+    _full_spectrum.cache_clear()
+    try:
+        for kind in Coupling:
+            with pytest.raises(SpinRscError, match="misses one-excitation states"):
+                _full_spectrum(kind, 6, 1)
+        assert main(["verify", "--n", "6", "--model", "all", "--t", "3.7"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "misses one-excitation states" in err
+    finally:
+        _full_spectrum.cache_clear()
+
+
+@pytest.mark.parametrize("kind", list(Coupling))
+def test_verify_runs_one_lanczos_per_sector(kind, monkeypatch, capsys):
+    # one apply per Lanczos vector: the n of node 1's space serve every
+    # source in the one-excitation sector
+    calls = []
+    real_apply = oracle._apply
+
+    def counting_apply(pairs, n, v, out):
+        calls.append(n)
+        real_apply(pairs, n, v, out)
+
+    monkeypatch.setattr(oracle, "_apply", counting_apply)
+    _full_spectrum.cache_clear()
+    try:
+        assert main(["verify", "--n", "9", "--model", kind.value, "--t", "3.7"]) == 0
+    finally:
+        _full_spectrum.cache_clear()
+    assert len(calls) == 9
+    assert capsys.readouterr().out.startswith("max_deviation ")
+
+
+@pytest.mark.parametrize("kind", list(Coupling))
+@pytest.mark.parametrize("n", [5, 8])
+def test_every_source_and_target_matches_a_dense_propagator(kind, n):
+    # one spectrum per sector serves all (n + 1)^2 pairs of nodes and the vacuum
+    model = CouplingModel(kind, n)
+    evals, evecs = np.linalg.eigh(_kron_hamiltonian(model))
+    index = [basis_index(node) for node in range(n + 1)]
+    for t in (0.0, 1.7, 3.0 * n):
+        u = (evecs[index] * np.exp(-1j * evals * t)) @ evecs[index].T
+        for k in range(n + 1):
+            for j in range(n + 1):
+                full = full_transition_amplitude(model, k, j, t)
+                assert abs(full - u[k, j]) <= 1e-12, (k, j, t)
+
+
 def _embed(n: int, rows: np.ndarray) -> np.ndarray:
     """Columns of 2^N vectors that carry ``rows`` on the vacuum and one-excitation states."""
     vectors = np.zeros((1 << n, rows.shape[1]))
@@ -170,34 +231,32 @@ def test_krylov_eigenpairs_are_eigenpairs_of_the_full_hamiltonian():
         model = CouplingModel(kind, 9)
         h = _table_apply(model, np.eye(1 << 9))
         spectrum = np.linalg.eigvalsh(h)
-        for j in (0, 1, 2):
-            evals, rows, weights = _full_spectrum(kind, 9, j)
+        for sector in (0, 1):
+            evals, rows = _full_spectrum(kind, 9, sector)
             assert rows.shape == (10, evals.size)
             evecs = _embed(9, rows)
             # orthonormal as 2^N vectors: no weight lies off the kept states
             assert np.max(np.abs(evecs.T @ evecs - np.eye(evals.size))) < 1e-12
             assert np.max(np.abs(h @ evecs - evecs * evals)) < 1e-12
             assert all(np.min(np.abs(spectrum - e)) < 1e-12 for e in evals)
-            assert np.allclose(rows[j], weights, rtol=0.0, atol=1e-14)
 
 
 def test_sender_krylov_spaces_close_and_nothing_leaks():
-    # H conserves excitation number, so the space of a node closes within
+    # H conserves excitation number, so the space of node 1 closes after
     # n Lanczos vectors; the loop observes the closure as a breakdown
     for kind in Coupling:
         for n in (6, 10):
             model = CouplingModel(kind, n)
+            evals, rows = _full_spectrum(kind, n, 1)
+            evecs = _embed(n, rows)
+            # orthonormal eigenvectors of the full H that live on the kept states
+            assert np.max(np.abs(evecs.T @ evecs - np.eye(evals.size))) < 1e-12
+            assert np.max(np.abs(_table_apply(model, evecs) - evecs * evals)) < 1e-12
             for j in (1, 2):
-                evals, rows, weights = _full_spectrum(kind, n, j)
-                assert 1 < rows.shape[1] <= n, (kind, n, j)
-                evecs = _embed(n, rows)
-                # orthonormal eigenvectors of the full H that live on the kept states
-                assert np.max(np.abs(evecs.T @ evecs - np.eye(evals.size))) < 1e-12
-                assert np.max(np.abs(_table_apply(model, evecs) - evecs * evals)) < 1e-12
                 for t in (0.7, 2.3 * n, 3.0 * n, 250.0):
                     # exp(-i H t)|j> has unit norm, so what its kept part
                     # lacks of that norm has leaked to other states
-                    psi = rows @ (weights * np.exp(-1j * evals * t))
+                    psi = rows @ (rows[j] * np.exp(-1j * evals * t))
                     kept = np.vdot(psi, psi).real
                     assert abs(kept - 1.0) < 1e-12
                     assert 1.0 - kept <= 1e-13, (kind, n, j, t, 1.0 - kept)
@@ -271,7 +330,7 @@ def _full_receiver_state(model: CouplingModel, t: float, c: ControlParams, v0) -
     """The created receiver state, computed in the full 2^N space.
 
     The sender ``a0|0> + a1|1> + a2|2>`` of the control angles evolves
-    through the Lanczos rows of its three sources, ``diag(1, v0, 1)`` acts
+    through the Lanczos rows of its two sectors, ``diag(1, v0, 1)`` acts
     on nodes N-1 and N (bits N-2 and N-1) and every node but N is traced out.
     """
     n = model.n
@@ -284,8 +343,8 @@ def _full_receiver_state(model: CouplingModel, t: float, c: ControlParams, v0) -
     psi = np.zeros(1 << n, dtype=complex)
     kept = [basis_index(node) for node in range(n + 1)]
     for j, amplitude in enumerate(sender):
-        evals, rows, weights = _full_spectrum(model.kind, n, j)
-        psi[kept] += amplitude * (rows @ (weights * np.exp(-1j * evals * t)))
+        evals, rows = _full_spectrum(model.kind, n, min(j, 1))
+        psi[kept] += amplitude * (rows @ (rows[j] * np.exp(-1j * evals * t)))
     # the two top bits, in basis_index order, index the rows of a (4, 2^(N-2)) view:
     # 0 vacuum, 1 node N-1, 2 node N, 3 both
     assert (basis_index(n - 1) >> (n - 2), basis_index(n) >> (n - 2)) == (1, 2)
