@@ -52,6 +52,7 @@ from .rsc import (
     ControlParams,
     CoverageReport,
     CreatableParams,
+    RegionGrid,
     RegionRow,
     beta2_coverage,
     creatable_params,

@@ -9,7 +9,6 @@ has 17 significant digits, so identical invocations give identical artifacts.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import re
 import sys
@@ -99,8 +98,9 @@ def _protocol(args):
     return dec, optimal_protocol(dec, with_v=args.with_v)
 
 
-def _write_lines(path: str, lines: Iterable[str]) -> None:
+def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
     with open(path, "w", newline="\n") as handle:
+        handle.write(header + "\n")
         handle.writelines(line + "\n" for line in lines)
 
 
@@ -144,9 +144,8 @@ def _parse_models(text: str) -> list[SweepModel]:
 
 def _cmd_sweep(args) -> int:
     rows = sweep(range(args.n_min, args.n_max + 1), _parse_models(args.models))
-    lines = ["n,model,t0,r_max_sq"]
-    lines += [f"{r.n},{r.model.value},{_fmt(r.t0)},{_fmt(r.r_max_sq)}" for r in rows]
-    _write_lines(args.out, lines)
+    lines = (f"{r.n},{r.model.value},{_fmt(r.t0)},{_fmt(r.r_max_sq)}" for r in rows)
+    _write_csv(args.out, "n,model,t0,r_max_sq", lines)
     return 0
 
 
@@ -162,10 +161,15 @@ def _cmd_critical_length(args) -> int:
 
 def _cmd_region(args) -> int:
     dec, protocol = _protocol(args)
-    rows = region_grid(protocol, dec, args.step)
-    template = ",".join([_FLOAT] * 5)  # one field per CSV column
-    lines = (template % row for row in rows)
-    _write_lines(args.out, itertools.chain(["alpha1,alpha2,lambda,beta1,beta2"], lines))
+    grid = region_grid(protocol, dec, args.step)
+    axis = [_fmt(alpha) for alpha in grid.alphas.tolist()]
+    # the CSV rows of one alpha1 line; \0 stands for its alpha1 field
+    template = "\n".join(f"\0,{alpha2},{_FLOAT},{_FLOAT},{_FLOAT}" for alpha2 in axis)
+    lines = (
+        template.replace("\0", alpha1) % tuple(np.column_stack(columns).ravel().tolist())
+        for alpha1, *columns in zip(axis, grid.lam, grid.beta1, grid.beta2)
+    )
+    _write_csv(args.out, "alpha1,alpha2,lambda,beta1,beta2", lines)
     return 0
 
 

@@ -81,6 +81,23 @@ def test_hypot_of_the_parts_equals_abs_of_the_complex():
     )
 
 
+def test_remainder_equals_the_cpython_float_modulo():
+    # region_grid wraps beta2 into [0, 1) with np.remainder, create_state with %
+    rng = np.random.default_rng(6)
+    below_one = np.nextafter(1.0, 0.0) - np.arange(1000) * 2.0**-53
+    x = np.concatenate([
+        [-0.0, 0.0, -5e-324, -1e-300, -1e-17, -2.0**-54, -0.5, 0.5, -np.nextafter(1.0, 0.0)],
+        -(10.0 ** rng.uniform(-300, 0, 2000)),  # small negatives, some round up to 1.0
+        below_one,
+        -below_one,
+        rng.uniform(-0.5, 0.5, 5000),  # -phase / (2 pi) lies in [-0.5, 0.5]
+    ])
+    expected = np.array([value % 1.0 for value in x.tolist()])
+    assert _same_bits(np.remainder(x, 1.0), expected), _broken(
+        "np.remainder(x, 1.0) equals CPython's x % 1.0, signed zeros included"
+    )
+
+
 @pytest.mark.parametrize(
     "fn, args, dtype",
     [

@@ -342,6 +342,34 @@ def test_region_grid_equals_benchmark_reference():
             assert np.array_equal(np.array([getattr(r, field) for r in rows]), ref[field])
 
 
+def test_coordinate_arrays_equal_the_scalar_coordinates():
+    # the receiver states of the benchmark's grid, then hand-built states for
+    # both early branches: no excitation (r_z_sq <= 1e-30) and no coherence
+    protocol = _protocol(Coupling.ALL_NODE, 109, True)
+    axis = _region_109().alphas
+    rho = rsc._create_batch(protocol.p, protocol.rotation, axis[:, None], axis, 0.0, 0.0)
+    r_z_sq, off = rho[:, 1, 1].real.tolist(), rho[:, 0, 1].tolist()
+    r_z_sq += [0.0, -0.0, 5e-324, 1e-30, 1e-30, 0.0, 0.3, 0.3, 0.3, 0.5, 0.3, 0.3, 0.3]
+    off += [0.1j, 0j, -0.2 + 0j, 0.3 - 0.1j, 0j, complex(-0.0, -0.0), 0j, complex(-0.0, 0.0),
+            complex(0.0, -0.0), 0j, complex(-0.2, -0.0), complex(0.3, 1e-300), -1e-300j]
+    got = rsc._coordinate_arrays(np.array(r_z_sq), np.array(off))
+    expected = np.array([rsc._coordinates(r, c) for r, c in zip(r_z_sq, off)]).T
+    assert np.array_equal(np.array(got).view(np.int64), expected.view(np.int64))
+
+
+def test_region_grid_is_a_read_only_sequence_of_rows():
+    grid = region_grid(_protocol(Coupling.ALL_NODE, 6, True), _dec(Coupling.ALL_NODE, 6), 0.25)
+    rows = list(grid)
+    assert len(grid) == len(rows) == 25 and grid.lam.shape == (5, 5)
+    assert [grid[i] for i in range(-25, 25)] == rows + rows
+    assert grid[7] == (0.25, 0.5, grid.lam[1, 2], grid.beta1[1, 2], grid.beta2[1, 2])
+    for index in (25, -26):
+        with pytest.raises(IndexError):
+            grid[index]
+    with pytest.raises(ValueError, match="read-only"):
+        grid.lam[0, 0] = 0.0
+
+
 def test_region_grid_step_validation():
     protocol = _protocol(Coupling.ALL_NODE, 6, True)
     dec = _dec(Coupling.ALL_NODE, 6)
@@ -400,7 +428,8 @@ def test_results_that_hold_arrays_compare_by_identity_and_hash():
     def results():
         dec = chain_decomposition(CouplingModel(Coupling.ALL_NODE, 9))
         protocol = optimal_protocol(dec, with_v=True)
-        return dec, protocol.svd, protocol, beta2_coverage(protocol, dec, 0.5, 0.9, 100)
+        grid = region_grid(protocol, dec, 0.25)
+        return dec, protocol.svd, protocol, beta2_coverage(protocol, dec, 0.5, 0.9, 100), grid
 
     for first, second in zip(results(), results()):
         assert first == first and first != second, type(first).__name__
