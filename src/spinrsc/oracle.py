@@ -163,6 +163,12 @@ def sample_max_transfer(
     ``arg a1`` uniform and independent), and ``|R a|^2 = a^H M a`` with
     ``M = R^H R`` is the real form ``m00 + (m11 - m00) s + 2 sqrt(1 - s)
     (Re m01 u - Im m01 v)``.  The result is deterministic for a given seed.
+
+    The form is evaluated in place on every candidate of a chunk, with the
+    operations and their order of an evaluation on the kept points alone,
+    so each kept value has the same bits.  A rejected candidate's value is
+    NaN, which ``np.fmax`` skips: ``sqrt(1 - s)`` is NaN for ``s > 1``, and
+    ``s == 1`` is set to NaN.  The last chunk stops at its last needed point.
     """
     try:
         samples, seed = operator.index(samples), operator.index(seed)
@@ -179,18 +185,38 @@ def sample_max_transfer(
     m = r.conj().T @ r
     m00, m11, re01, im01 = m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag
     rng = np.random.default_rng(seed)
-    cand, kept = np.empty((3, SAMPLE_CHUNK)), np.empty(3 * SAMPLE_CHUNK)  # rows u, v, s
+    cand = np.empty((4, SAMPLE_CHUNK))  # rows u, v, s and sqrt(1 - s)
+    inside = np.empty(SAMPLE_CHUNK, dtype=bool)
     best = 0.0
     remaining = samples
-    while remaining:
-        rng.random(out=cand[:2])
-        cand[:2] *= 2.0
-        cand[:2] -= 1.0
-        np.add(cand[0] ** 2, cand[1] ** 2, out=cand[2])
-        inside = cand[2] < 1.0
-        count = int(np.count_nonzero(inside))
-        u, v, s = np.compress(inside, cand, 1, kept[: 3 * count].reshape(3, count))[:, :remaining]
-        vals = m00 + (m11 - m00) * s + 2.0 * np.sqrt(1.0 - s) * (re01 * u - im01 * v)
-        best = max(best, float(vals.max()))
-        remaining -= len(vals)
+    with np.errstate(invalid="ignore"):  # sqrt(1 - s) of every rejected point
+        while remaining:
+            rng.random(out=cand[:2])
+            cand[:2] *= 2.0
+            cand[:2] -= 1.0
+            np.square(cand[:2], out=cand[2:])  # u^2 and v^2, as x ** 2 computes them
+            np.add(cand[2], cand[3], out=cand[2])
+            np.less(cand[2], 1.0, out=inside)
+            count = int(np.count_nonzero(inside))
+            stop = SAMPLE_CHUNK
+            if count >= remaining:  # the last chunk ends at its remaining-th kept point
+                stop = int(np.flatnonzero(inside)[remaining - 1]) + 1
+                count = remaining
+            u, v, s, w = cand[:, :stop]
+            on_circle = inside[:stop]
+            np.subtract(1.0, s, out=w)
+            np.sqrt(w, out=w)  # NaN for s > 1
+            np.equal(s, 1.0, out=on_circle)
+            if on_circle.any():
+                w[on_circle] = np.nan
+            w *= 2.0  # from here s becomes the form's value
+            u *= re01
+            v *= im01
+            u -= v
+            w *= u
+            s *= m11 - m00
+            s += m00
+            s += w
+            best = max(best, float(np.fmax.reduce(s)))
+            remaining -= count
     return best

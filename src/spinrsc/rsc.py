@@ -14,8 +14,9 @@ with CPython's scalar ``math``/``cmath`` calls, one ``P @ (a1, a2)`` product,
 :func:`_extended_density` and :func:`_reduce`.  :func:`_create_batch` runs
 the same arithmetic on control angles that broadcast (for :func:`region_grid`
 an alpha1 column against the alpha2 axis), so each CPython call runs once per
-distinct angle, and gives bit-identical receiver states: the BLAS products
-are the same calls stacked, complex products are written out as CPython
+distinct angle, and gives bit-identical receiver states: ``P a`` is the
+same BLAS call stacked, the rotation two flat gemms whose items keep the
+bits of their own 4x4 products, complex products are written out as CPython
 rounds them, ``|f|`` is ``np.hypot`` (libm, as in CPython's ``abs``) and the
 other libm calls are CPython's scalar functions (:func:`_scalar`).
 :func:`create_state` reads the coordinates of its state with the scalar
@@ -115,14 +116,17 @@ def _extended_density(a0: float, f_nm1: complex, f_n: complex) -> np.ndarray:
     )
 
 
-def _reduce(rho_ext: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Partial trace over node N-1 of ``v rho_ext v^+``, for a checked rotation ``v``.
+def _trace_out_nm1(m: np.ndarray) -> np.ndarray:
+    """Partial trace over node N-1 of ``(..., 4, 4)`` extended-receiver states.
 
-    A ``(B, 4, 4)`` stack of states gives the ``(B, 2, 2)`` stack of receiver
-    states.  Basis indices pair as (0,2) with N-1 empty and (1,3) with it excited.
+    Basis indices pair as (0,2) with N-1 empty and (1,3) with it excited.
     """
-    m = v @ rho_ext @ v.conj().T
     return m[..., ::2, ::2] + m[..., 1::2, 1::2]
+
+
+def _reduce(rho_ext: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The 2x2 receiver state of ``v rho_ext v^+``, for a checked rotation ``v``."""
+    return _trace_out_nm1(v @ rho_ext @ v.conj().T)
 
 
 @dataclass(frozen=True)
@@ -266,18 +270,27 @@ def _create_batch(p: np.ndarray, v: np.ndarray, alpha1, alpha2, phi1, phi2) -> n
     """The ``(B, 2, 2)`` receiver states at the control points of :func:`_arrivals`.
 
     ``v`` is the protocol's checked rotation ``diag(1, v0, 1)``.  Element for
-    element this is :func:`create_state`'s arithmetic, :func:`_reduce` included.
+    element this is :func:`create_state`'s arithmetic, :func:`_reduce` included:
+    the B states are held as ``rho[i, b, j]``, so ``v rho`` is one
+    ``(4, 4) @ (4, 4B)`` gemm, and ``(v rho) v^+`` is taken transposed as a
+    second, ``conj(v) @ (v rho)^T``, whose right operand is the first one's
+    result read as ``(4B, 4)``.  Every item keeps the bits of its own 4x4
+    products.  The batch stays on the gemms' N side: a ``(4B, 4) @ v^+``
+    gemm gives the same bits, but OpenBLAS packs its 4B rows into its
+    buffer, and it raised the peak RSS further.
     """
     a0, f, sq = _arrivals(p, alpha1, alpha2, phi1, phi2)
     f_nm1, f_n = f[:, 0, 0], f[:, 1, 0]
-    rho = np.zeros((len(a0), 4, 4), dtype=complex)
-    rho[:, 0, 0] = 1.0 - (sq[:, 0] + sq[:, 1])
-    rho[:, (1, 2), (1, 2)] = sq  # |f_nm1|^2 and |f_n|^2
+    rho = np.zeros((4, len(a0), 4), dtype=complex)
+    rho[0, :, 0] = 1.0 - (sq[:, 0] + sq[:, 1])
+    rho[1, :, 1], rho[2, :, 2] = sq.T  # |f_nm1|^2 and |f_n|^2
     for i, j, x, y in ((0, 1, a0, f_nm1), (0, 2, a0, f_n), (1, 2, f_nm1, f_n)):
         re, im = _product(x.real, x.imag, y.real, -y.imag)  # x conj(y)
-        rho[:, i, j] = _complex(re, im)
-        rho[:, j, i] = _complex(re, -im)
-    return _reduce(rho, v)
+        rho[i, :, j] = _complex(re, im)
+        rho[j, :, i] = _complex(re, -im)
+    v_rho = (v @ rho.reshape(4, -1)).reshape(-1, 4)  # rows (i, b), columns j
+    m = v.conj() @ v_rho.T  # m[l, (i, b)] is (v rho_b v^+)[i, l]
+    return _trace_out_nm1(m.reshape(4, 4, -1).transpose(2, 1, 0))
 
 
 def create_state(

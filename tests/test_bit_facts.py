@@ -20,7 +20,7 @@ import pytest
 from spinrsc import Coupling, CouplingModel, chain_decomposition, lam_plus_sq, optimal_protocol
 from spinrsc import row_norm_sq
 from spinrsc.propagate import _weights, amplitude_grid
-from spinrsc.rsc import _arrivals, _extended_density, _scalar
+from spinrsc.rsc import CHUNK_POINTS, _arrivals, _extended_density, _scalar
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORDED = "numpy 2.4.6 / OpenBLAS 0.3.31"
@@ -58,16 +58,22 @@ def test_stacked_weight_matmul_equals_the_single_products(chain):
     )
 
 
-def test_stacked_rotation_equals_the_per_point_product(chain):
-    # _create_batch rotates a (B, 4, 4) stack; create_state rotates one 4x4 matrix
+def test_flat_rotation_equals_the_per_point_product(chain):
+    # _create_batch rotates B states held as rho[i, b, j] with two flat gemms,
+    # v @ (4, 4B) and then (v rho v^+)^T = conj(v) @ (4, 4B); create_state
+    # rotates one 4x4 matrix
     _, protocol = chain
-    a0, f, _ = _arrivals(protocol.p, *np.random.default_rng(2).uniform(0.0, 1.0, (256, 4)).T)
+    points = np.random.default_rng(2).uniform(0.0, 1.0, (CHUNK_POINTS, 4)).T
+    a0, f, _ = _arrivals(protocol.p, *points)
     rhos = [_extended_density(*point) for point in zip(a0.tolist(), *f[:, :, 0].T.tolist())]
     v = protocol.rotation
-    stacked = v @ np.array(rhos) @ v.conj().T
+    columns = np.array(rhos).transpose(1, 0, 2).reshape(4, -1)
+    flat = v.conj() @ (v @ columns).reshape(-1, 4).T
     single = np.array([v @ rho @ v.conj().T for rho in rhos])
-    assert _same_bits(stacked, single), _broken(
-        "the stacked (B, 4, 4) rotation v rho v^+ equals the 2-D product of each point"
+    # flat[l, (i, b)] is item b's [i, l]
+    assert _same_bits(flat, single.transpose(2, 1, 0).reshape(4, -1)), _broken(
+        "the flat rotation v @ (4, 4B), then conj(v) @ its (4, 4B) transpose, "
+        "equals each point's 2-D product"
     )
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -491,6 +493,71 @@ def test_quadratic_form_equals_explicit_transfer_on_the_same_draws():
                 got = sample_max_transfer(p, mode, samples, 31)
                 want = _explicit_sampled_max(p, mode, samples, 31)
                 assert abs(got - want) <= 1e-15, (mode, samples, got - want)
+
+
+def _compress_sampled_max(p: np.ndarray, mode: TransferMode, samples: int, seed: int) -> float:
+    """The real form on the kept points alone, gathered from each chunk with ``np.compress``."""
+    r = p if mode is TransferMode.EXT_RECEIVER_NORM else p[1:]
+    m = r.conj().T @ r
+    m00, m11, re01, im01 = m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag
+    rng = np.random.default_rng(seed)
+    cand = np.empty((3, oracle.SAMPLE_CHUNK))  # rows u, v, s
+    best, remaining = 0.0, samples
+    while remaining:
+        rng.random(out=cand[:2])
+        cand[:2] *= 2.0
+        cand[:2] -= 1.0
+        np.add(cand[0] ** 2, cand[1] ** 2, out=cand[2])
+        u, v, s = np.compress(cand[2] < 1.0, cand, 1)[:, :remaining]
+        vals = m00 + (m11 - m00) * s + 2.0 * np.sqrt(1.0 - s) * (re01 * u - im01 * v)
+        best = max(best, float(vals.max()))
+        remaining -= len(vals)
+    return best
+
+
+@pytest.mark.parametrize("mode", list(TransferMode))
+def test_in_place_sampler_equals_the_compress_loop(mode):
+    rng = np.random.default_rng(37)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    u, v = rng.standard_normal(2) + 1j * rng.standard_normal(2), rng.standard_normal(2)
+    for p in (g, g / np.linalg.norm(g, 2), np.outer(u, v), np.diag([0.3, 0.9]), np.zeros((2, 2))):
+        for samples in (1, oracle.SAMPLE_CHUNK, 2 * oracle.SAMPLE_CHUNK + 123):
+            seed = int(rng.integers(2**31))
+            got = sample_max_transfer(p, mode, samples, seed)
+            assert got == _compress_sampled_max(p, mode, samples, seed), (p, samples, seed)
+
+
+class _DiscStub:
+    """Draws for ``sample_max_transfer``: every chunk holds, at positions 0 and 1,
+    s == 1 exactly (u = -1, v = 0) and s = 2 (u = v = -1), then eight kept points
+    with u = 0 and v = j / 64 (s = j^2 / 4096, j = 1..8); all other draws give s = 2."""
+
+    def random(self, out):
+        out[...] = 0.0
+        out[:, 0] = 0.0, 0.5
+        out[0, 2:10] = 0.5
+        out[1, 2:10] = 0.5 + np.arange(1, 9) / 128
+
+
+def test_points_on_or_outside_the_circle_are_neither_counted_nor_evaluated(monkeypatch):
+    # with p = diag(0, 1) a sender's value is s itself, so the point with s == 1
+    # would give 1.0 if evaluated, and a counted rejection would end the search
+    # one kept point early
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _DiscStub())
+    p = np.diag([0.0, 1.0])
+    for samples in range(1, 9):
+        assert sample_max_transfer(p, TransferMode.EXT_RECEIVER_NORM, samples, 0) == samples**2 / 4096
+    assert sample_max_transfer(p, TransferMode.EXT_RECEIVER_NORM, 20, 0) == 64 / 4096
+
+
+def test_sampling_warns_nothing_and_keeps_the_error_state():
+    before = np.geterr()
+    p = np.array([[0.2, 0.5j], [0.7, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in TransferMode:
+            sample_max_transfer(p, mode, 2 * oracle.SAMPLE_CHUNK + 123, 5)
+    assert np.geterr() == before
 
 
 def test_sampling_never_exceeds_largest_singular_value():
