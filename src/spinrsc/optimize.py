@@ -10,8 +10,8 @@ variant's objective: :func:`lam_plus_sq` with the receiver-side unitary,
 :func:`row_norm_sq` without it.  An objective is a function of a
 ``(2, 2, T)`` stack of P matrices, so one stack on a uniform grid serves
 every objective of a chain in a single coarse scan (``amplitude_grid``),
-and the golden-section searches that refine the brackets of many chains are
-probed in lock step on single-time ``amplitude_matrix`` products.
+and one golden-section search over arrays of brackets refines the brackets
+of many chains at once, on single-time ``amplitude_matrix`` products.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -233,38 +233,21 @@ def _refine_rows(
     ]
 
 
-def _golden_section(a: float, b: float) -> Generator[float, float, float]:
-    """Golden-section search for a maximum on ``[a, b]``: yields probe times, is sent their values.
-
-    Probes ``c < d`` split the bracket in the golden ratio; ``[a, d]`` is kept
-    when ``value(c) > value(d)``, else ``[c, b]``, until the bracket is no
-    wider than ``REFINE_TOL``.  Returns its midpoint.
-    """
-    c, d = a + (1.0 - _INV_PHI) * (b - a), a + _INV_PHI * (b - a)
-    yc, yd = (yield c), (yield d)
-    while b - a > REFINE_TOL:
-        if yc > yd:
-            b, d, yd = d, c, yc
-            c = a + (1.0 - _INV_PHI) * (b - a)
-            yc = yield c
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * (b - a)
-            yd = yield d
-    return 0.5 * (a + b)
-
-
 def _refine(rows: Sequence[_RefineRow]) -> list[tuple[float, float]]:
-    """Golden-section maximum of every row as ``(t0, objective(t0))``, all rows in lock step.
+    """Golden-section maximum of every row as ``(t0, objective(t0))``, all rows in one search.
 
-    Each row runs its own :func:`_golden_section`.  A step probes every row at
-    once: one complex exponential over the concatenated ``E t`` of all rows,
-    the product of :func:`amplitude_matrix` on one ``(k, 4, n)`` weight stack
-    per run of consecutive rows of chain length ``n``, then each distinct
-    objective over the whole stack, so every row gets the bits of its own
-    one-time evaluation.  A finished row is probed at its ``t0``, which costs
-    the sweep nothing: its rows all start from ``2 * COARSE_STEP`` brackets
-    and stop on the same step.
+    Each row's bracket ``[a, b]`` holds probes ``c < d`` that split it in the
+    golden ratio; ``[a, d]`` is kept when ``value(c) > value(d)``, else
+    ``[c, b]``, until the bracket is no wider than ``REFINE_TOL``, and ``t0``
+    is its midpoint.  Brackets, probes and values are arrays over the rows,
+    and each live row makes the IEEE operations of a scalar search, in its
+    order.  A step probes every row at once: one complex exponential over the
+    concatenated ``E t`` of all rows, the product of :func:`amplitude_matrix`
+    on one ``(k, 4, n)`` weight stack per run of consecutive rows of chain
+    length ``n``, then each distinct objective over the whole stack, so every
+    row gets the bits of its own one-time evaluation.  A finished row's probe
+    is discarded, which costs the sweep nothing: its rows all start from
+    ``2 * COARSE_STEP`` brackets and stop on the same step.
     """
     energies = np.concatenate([row.energies for row in rows])
     sizes = np.array([row.energies.shape[0] for row in rows])
@@ -277,24 +260,29 @@ def _refine(rows: Sequence[_RefineRow]) -> list[tuple[float, float]]:
         pos += k * n
     objectives = list(dict.fromkeys(row.objective for row in rows))
     kinds = np.array([objectives.index(row.objective) for row in rows])
-    pending = dict(enumerate(_golden_section(row.a, row.b) for row in rows))
-    ts = [next(search) for search in pending.values()]
 
-    def probe() -> list[float]:
+    def probe(ts: np.ndarray) -> np.ndarray:
         """Objective of each row at its time in ``ts``."""
         np.exp(-1j * (energies * np.repeat(ts, sizes)), out=phases)
         ps = _p_stack(runs)
-        return np.choose(kinds, [objective(ps) for objective in objectives]).tolist()
+        return np.choose(kinds, [objective(ps) for objective in objectives])
 
-    while pending:
-        values = probe()
-        for i, search in list(pending.items()):
-            try:
-                ts[i] = search.send(values[i])
-            except StopIteration as done:
-                ts[i] = done.value
-                del pending[i]
-    return list(zip(ts, probe()))
+    x = np.zeros((2, 4, len(rows)))  # times a < c < d < b per row, then the values at c and d
+    (a, c, d, b), (_, yc, yd, _) = x  # views of x's rows
+    a[:], b[:] = [row.a for row in rows], [row.b for row in rows]
+    c[:], d[:] = a + (1.0 - _INV_PHI) * (b - a), a + _INV_PHI * (b - a)
+    yc[:], yd[:] = probe(c), probe(d)
+    while (live := b - a > REFINE_TOL).any():
+        left = yc > yd
+        keep_ad, keep_cb = live & left, live & ~left
+        np.copyto(x[:, 2:], x[:, 1:3], where=keep_ad)  # (d, b) <- (c, d); c is probed anew
+        np.copyto(x[:, :2], x[:, 1:3], where=keep_cb)  # (a, c) <- (c, d); d is probed anew
+        t = a + np.where(keep_ad, 1.0 - _INV_PHI, _INV_PHI) * (b - a)
+        new = np.array([t, probe(t)])
+        np.copyto(x[:, 1], new, where=keep_ad)
+        np.copyto(x[:, 2], new, where=keep_cb)
+    t0 = 0.5 * (a + b)
+    return list(zip(t0.tolist(), probe(t0).tolist()))
 
 
 def maximize_over_time(dec: SpectralDecomposition, objective: ObjectiveFn) -> tuple[float, float]:
@@ -408,25 +396,26 @@ def sweep(ns: Iterable[int], models: Iterable[SweepModel]) -> list[SweepRow]:
 
     Models of the same coupling share one decomposition and one coarse scan
     per chain length: ``all`` and ``all+v`` read the same P stack.  Only the
-    spectrum and the P weights of each chain outlive its scan, and the
-    golden-section searches of every row are then probed in lock step.
+    spectrum and the P weights of each chain outlive its scan, and one
+    golden-section search then refines every row's bracket.
     A model is a :class:`SweepModel` member or its label.
     """
-    ns = list(dict.fromkeys(ns))  # one row per distinct length and model
-    models = list(dict.fromkeys(map(SweepModel, models)))
-    if not ns:
-        raise ValueError("no chain lengths to sweep: the range is empty")
-    if not models:
-        raise ValueError("no models to sweep")
+    models = list(dict.fromkeys(map(SweepModel, models)))  # one row per distinct model
+    lengths: dict[int, None] = {}  # and per distinct length, checked as they come
     for n in ns:
+        if not models:
+            raise ValueError("no models to sweep")
         if not 4 <= n <= 200:
             raise ValueError(f"swept chain lengths must lie in [4, 200], got {n}")
+        lengths[n] = None
+    if not lengths:
+        raise ValueError("no chain lengths to sweep: the range is empty")
     groups: dict[Coupling, list[SweepModel]] = {}
     for model in models:
         groups.setdefault(model.coupling, []).append(model)
     keys: list[tuple[int, SweepModel]] = []
     searches: list[_RefineRow] = []
-    for n in ns:
+    for n in lengths:
         for coupling, group in groups.items():
             try:
                 dec = chain_decomposition(CouplingModel(coupling, n))
@@ -439,7 +428,7 @@ def sweep(ns: Iterable[int], models: Iterable[SweepModel]) -> list[SweepRow]:
         key: SweepRow(n=key[0], model=key[1], t0=t0, r_max_sq=value)
         for key, (t0, value) in zip(keys, _refine(searches))
     }
-    return [found[(n, model)] for n in ns for model in models]
+    return [found[(n, model)] for n in lengths for model in models]
 
 
 @dataclass(frozen=True)

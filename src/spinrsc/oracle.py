@@ -169,6 +169,7 @@ def sample_max_transfer(
     so each kept value has the same bits.  A rejected candidate's value is
     NaN, which ``np.fmax`` skips: ``sqrt(1 - s)`` is NaN for ``s > 1``, and
     ``s == 1`` is set to NaN.  The last chunk stops at its last needed point.
+    A ``p`` so large that ``M`` or a kept value overflows is a ``ValueError``.
     """
     try:
         samples, seed = operator.index(samples), operator.index(seed)
@@ -182,14 +183,18 @@ def sample_max_transfer(
     if not np.isfinite(p).all():
         raise ValueError("p must be finite")
     r = p if TransferMode(mode) is TransferMode.EXT_RECEIVER_NORM else p[1:]
-    m = r.conj().T @ r
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = r.conj().T @ r
+    if not np.isfinite(m).all():
+        raise ValueError("p is too large: M = R^H R is not finite")
     m00, m11, re01, im01 = m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag
     rng = np.random.default_rng(seed)
     cand = np.empty((4, SAMPLE_CHUNK))  # rows u, v, s and sqrt(1 - s)
     inside = np.empty(SAMPLE_CHUNK, dtype=bool)
     best = 0.0
     remaining = samples
-    with np.errstate(invalid="ignore"):  # sqrt(1 - s) of every rejected point
+    # sqrt(1 - s) of every rejected point, and for a large M its (m11 - m00) s
+    with np.errstate(over="ignore", invalid="ignore"):
         while remaining:
             rng.random(out=cand[:2])
             cand[:2] *= 2.0
@@ -219,4 +224,6 @@ def sample_max_transfer(
             s += w
             best = max(best, float(np.fmax.reduce(s)))
             remaining -= count
+    if not np.isfinite(best):
+        raise ValueError("p is too large: |R a|^2 is not finite")
     return best

@@ -354,6 +354,17 @@ def test_sweep_range_validation():
         sweep([3], [SweepModel.NN])
     with pytest.raises(ValueError, match="4, 200"):
         sweep([201], [SweepModel.NN])
+    # the lengths are checked as they are consumed, up to the first one out of range
+    consumed = []
+
+    def lengths():
+        for n in range(4, 10**5):
+            consumed.append(n)
+            yield n
+
+    with pytest.raises(ValueError, match="got 201"):
+        sweep(lengths(), [SweepModel.NN])
+    assert consumed[-1] == 201
 
 
 def test_sweep_rejects_empty_input():

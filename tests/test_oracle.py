@@ -466,6 +466,33 @@ def test_sampling_rejects_a_p_that_is_not_finite(bad):
             sample_max_transfer(p, mode, 100, 0)
 
 
+@pytest.mark.parametrize("p, modes", [
+    (np.full((2, 2), 1e200), list(TransferMode)),
+    (np.diag([1e155, 1e155]), list(TransferMode)),
+    # M is finite, but its lambda+^2 = 3.4e308 is not
+    (np.full((2, 2), 9.2e153), [TransferMode.EXT_RECEIVER_NORM]),
+])
+def test_sampling_rejects_a_p_whose_transfer_overflows(p, modes):
+    # P is finite; tier-1 turns any RuntimeWarning into an error
+    errors = np.geterr()
+    for mode in modes:
+        with pytest.raises(ValueError, match="finite"):
+            sample_max_transfer(p, mode, 100, 0)
+    assert np.geterr() == errors
+
+
+@pytest.mark.parametrize("c, full", [(1e150, True), (1e154, False)])
+def test_sampling_a_large_p_stays_finite_and_bounded(c, full):
+    # every entry c (lambda+^2 = 4 c^2, bottom row 2 c^2) or diag(c, c) (c^2 in
+    # both modes); at diag(1e154, 1e154) the rejected points' (m11 - m00) s
+    # overflows in the bottom-row mode
+    p = np.full((2, 2), c) if full else np.diag([c, c])
+    bounds = {TransferMode.EXT_RECEIVER_NORM: (4 if full else 1) * c**2,
+              TransferMode.LAST_NODE_ONLY: (2 if full else 1) * c**2}
+    for mode, bound in bounds.items():
+        assert 0.99 * bound <= sample_max_transfer(p, mode, 1000, 0) <= bound
+
+
 def _explicit_sampled_max(p: np.ndarray, mode: TransferMode, samples: int, seed: int) -> float:
     """``max |R a|^2`` over the sampler's disc draws, with complex unit senders formed."""
     r = p if mode is TransferMode.EXT_RECEIVER_NORM else p[1:]
