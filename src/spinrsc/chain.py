@@ -67,15 +67,21 @@ def build_hamiltonian(model: CouplingModel) -> np.ndarray:
 
     All-node chains couple every pair with ``|i - j|**-3``; nearest-neighbour
     chains couple adjacent nodes with 1.  Either way ``h[0, 1] == 1/2`` exactly.
+    The matrix is Toeplitz, ``h[i, j] = table[|i - j|]``, so each distance's
+    coupling is computed once.
     """
-    idx = np.arange(model.n, dtype=float)
-    dist = np.abs(idx[:, None] - idx[None, :])
+    n = model.n
+    dist = np.arange(n, dtype=float)
     if model.kind is Coupling.NEAREST_NEIGHBOR:
-        couplings = (dist == 1.0).astype(float)
+        table = (dist == 1.0) / 2.0
     else:
-        np.fill_diagonal(dist, np.inf)
-        couplings = dist**-3
-    return couplings / 2.0
+        dist[0] = np.inf  # no self-coupling: inf**-3 == 0
+        table = dist**-3 / 2.0
+    # h[i, j] is item n-1-i+j of (t[n-1], ..., t[1], t[0], t[1], ..., t[n-1])
+    mirrored = np.concatenate([table[:0:-1], table])
+    step = mirrored.itemsize
+    h = np.ndarray((n, n), buffer=mirrored, offset=(n - 1) * step, strides=(-step, step))
+    return h.copy()
 
 
 @dataclass(frozen=True, eq=False)

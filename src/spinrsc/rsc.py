@@ -10,22 +10,29 @@ The protocol owns ``P(t0)`` and the rotation ``diag(1, v0, 1)``, whose
 unitarity it checks once (:class:`~spinrsc.optimize.OptimalProtocol`), so
 no creation function recomputes either; their ``dec`` argument is unused
 and stays only for their callers.  :func:`create_state` computes one point
-with CPython's scalar ``math``/``cmath`` calls, one ``P @ (a1, a2)`` product,
-:func:`_extended_density` and :func:`_reduce`.  :func:`_create_batch` runs
-the same arithmetic on control angles that broadcast (for :func:`region_grid`
-an alpha1 column against the alpha2 axis), so each CPython call runs once per
-distinct angle, and gives bit-identical receiver states: ``P a`` is the
-same BLAS call stacked, the rotation two flat gemms whose items keep the
-bits of their own 4x4 products, complex products are written out as CPython
-rounds them, ``|f|`` is ``np.hypot`` (libm, as in CPython's ``abs``) and the
-other libm calls are CPython's scalar functions (:func:`_scalar`).
+with CPython's scalar ``math``/``cmath`` calls, one ``P (a1, a2)`` product,
+:func:`_extended_density` (one flat list, reshaped) and :func:`_reduce`; its
+products go through ``ndarray.dot``, the BLAS calls of ``@`` with less
+dispatch, and it reads its coordinates off the state directly.
+:func:`_create_batch` runs the same arithmetic on control angles that
+broadcast (for :func:`region_grid` an alpha1 column against the alpha2
+axis), so each CPython call runs once per distinct angle, and gives
+bit-identical receiver states: ``P a`` is the same BLAS call stacked, the
+rotation two flat gemms whose items keep the bits of their own 4x4
+products, complex products are written out as CPython rounds them, ``|f|``
+is ``np.hypot`` (libm, as in CPython's ``abs``) and the other libm calls are
+CPython's scalar functions (:func:`_scalar`).
 :func:`create_state` reads the coordinates of its state with the scalar
 :func:`_coordinates`; :func:`region_grid` reads those of each batch with
 :func:`_coordinate_arrays`, the same arithmetic on arrays, and returns them
 as the three ``(A, A)`` arrays of a :class:`RegionGrid`.
 :func:`beta2_coverage` reads ``beta2`` as the phase of the receiver amplitude
 ``g_N``, not as the negated phase of the coherence: it equals its per-point
-loop bit for bit and agrees with :func:`create_state` to 1e-12.
+loop bit for bit and agrees with :func:`create_state` to 1e-12.  The batch
+paths' physicality check (:func:`_arrivals`) sums ``np.square`` and takes
+the ``pow`` squares of :func:`create_state`'s check only near the bound, so
+:func:`beta2_coverage`, which keeps no square, makes no ``pow`` call on
+physical input.
 """
 
 from __future__ import annotations
@@ -105,15 +112,16 @@ def _extended_density(a0: float, f_nm1: complex, f_n: complex) -> np.ndarray:
     c01 = a0 * f_nm1.conjugate()
     c02 = a0 * f_n.conjugate()
     c12 = f_nm1 * f_n.conjugate()
+    # one flat list, reshaped: a nested list costs numpy a shape discovery per row
     return np.array(
         [
-            [1.0 - occupied, c01, c02, 0.0],
-            [c01.conjugate(), sq_nm1, c12, 0.0],
-            [c02.conjugate(), c12.conjugate(), sq_n, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
+            1.0 - occupied, c01, c02, 0.0,
+            c01.conjugate(), sq_nm1, c12, 0.0,
+            c02.conjugate(), c12.conjugate(), sq_n, 0.0,
+            0.0, 0.0, 0.0, 0.0,
         ],
         dtype=complex,
-    )
+    ).reshape(4, 4)
 
 
 def _trace_out_nm1(m: np.ndarray) -> np.ndarray:
@@ -125,8 +133,11 @@ def _trace_out_nm1(m: np.ndarray) -> np.ndarray:
 
 
 def _reduce(rho_ext: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The 2x2 receiver state of ``v rho_ext v^+``, for a checked rotation ``v``."""
-    return _trace_out_nm1(v @ rho_ext @ v.conj().T)
+    """The 2x2 receiver state of ``v rho_ext v^+``, for a checked rotation ``v``.
+
+    ``ndarray.dot`` reaches the same zgemm as ``@`` with less dispatch.
+    """
+    return _trace_out_nm1(v.dot(rho_ext).dot(v.conj().T))
 
 
 @dataclass(frozen=True)
@@ -236,7 +247,7 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _arrivals(p: np.ndarray, alpha1, alpha2, phi1, phi2) -> tuple[np.ndarray, ...]:
-    """Vacuum amplitudes ``a0`` (B,), arrivals ``f = P a`` (B, 2, 1) and ``|f|^2`` (B, 2).
+    """Vacuum amplitudes ``a0`` (B,), arrivals ``f = P a`` (B, 2, 1) and ``|f|`` (B, 2).
 
     The control angles broadcast against each other (scalars, a column, a
     row), so each CPython call runs once per distinct input; the B points
@@ -257,13 +268,21 @@ def _arrivals(p: np.ndarray, alpha1, alpha2, phi1, phi2) -> tuple[np.ndarray, ..
         amplitude = cos1 * _scalar(weight, 0.5 * math.pi * alpha2)
         exc[..., col] = _complex(*_product(amplitude, 0.0, turn.real, turn.imag))
     f = np.matmul(p, exc.reshape(-1, 2, 1))
-    # x ** 2 is libm pow; np.square rounds differently in rare cases
-    sq = _scalar(pow, np.hypot(f.real, f.imag), 2)[:, :, 0]
-    total = _scalar(pow, a0, 2) + (sq[:, 0] + sq[:, 1]).reshape(shape)
-    bad = np.flatnonzero(total > 1.0 + CONSTRAINT_TOL)
-    if bad.size:
-        raise _unphysical(float(total.flat[bad[0]]))
-    return np.broadcast_to(a0, shape).ravel(), f, sq
+    a0, mag = np.broadcast_to(a0, shape).ravel(), np.hypot(f.real, f.imag)[:, :, 0]
+    # create_state squares with x ** 2, libm pow (faithful); np.square is
+    # correctly rounded, so each square differs by at most an ulp, at most
+    # 2^-52 below 2.  Near the bound the two totals then differ by at most 3
+    # ulps from the squares and 2 from the additions' roundings, so only the
+    # points within 2^-48 (16 ulps) below the bound take pow's totals to decide.
+    sq = np.square(mag)
+    near = np.flatnonzero(np.square(a0) + (sq[:, 0] + sq[:, 1]) > 1.0 + CONSTRAINT_TOL - 2.0**-48)
+    if near.size:
+        sq = _scalar(pow, mag[near], 2)
+        total = _scalar(pow, a0[near], 2) + (sq[:, 0] + sq[:, 1])
+        bad = np.flatnonzero(total > 1.0 + CONSTRAINT_TOL)
+        if bad.size:
+            raise _unphysical(float(total[bad[0]]))
+    return a0, f, mag
 
 
 def _create_batch(p: np.ndarray, v: np.ndarray, alpha1, alpha2, phi1, phi2) -> np.ndarray:
@@ -279,8 +298,9 @@ def _create_batch(p: np.ndarray, v: np.ndarray, alpha1, alpha2, phi1, phi2) -> n
     gemm gives the same bits, but OpenBLAS packs its 4B rows into its
     buffer, and it raised the peak RSS further.
     """
-    a0, f, sq = _arrivals(p, alpha1, alpha2, phi1, phi2)
+    a0, f, mag = _arrivals(p, alpha1, alpha2, phi1, phi2)
     f_nm1, f_n = f[:, 0, 0], f[:, 1, 0]
+    sq = _scalar(pow, mag, 2)  # x ** 2 is libm pow; np.square rounds differently in rare cases
     rho = np.zeros((4, len(a0), 4), dtype=complex)
     rho[0, :, 0] = 1.0 - (sq[:, 0] + sq[:, 1])
     rho[1, :, 1], rho[2, :, 2] = sq.T  # |f_nm1|^2 and |f_n|^2
@@ -308,9 +328,10 @@ def create_state(
     half2 = 0.5 * math.pi * controls.alpha2
     a1 = math.cos(half1) * math.cos(half2) * cmath.exp(2j * math.pi * controls.phi1)
     a2 = math.cos(half1) * math.sin(half2) * cmath.exp(2j * math.pi * controls.phi2)
-    f_nm1, f_n = (protocol.p @ np.array([a1, a2])).tolist()
+    f_nm1, f_n = protocol.p.dot(np.array([a1, a2])).tolist()
     rho_r = _reduce(_extended_density(math.sin(half1), f_nm1, f_n), protocol.rotation)
-    return rho_r, creatable_params(rho_r)
+    # creatable_params's reads, rho[1, 1].real and rho[0, 1], taken directly
+    return rho_r, CreatableParams(*_coordinates(rho_r.item(3).real, rho_r.item(1)))
 
 
 class RegionRow(NamedTuple):

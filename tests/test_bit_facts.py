@@ -77,6 +77,24 @@ def test_flat_rotation_equals_the_per_point_product(chain):
     )
 
 
+def test_ndarray_dot_equals_matmul():
+    # create_state takes P a and v rho v^+ through ndarray.dot, which reaches
+    # the BLAS calls of @ with less dispatch
+    rng = np.random.default_rng(7)
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for _ in range(2000):
+        a, b, p, x = normal(4, 4), normal(4, 4), normal(2, 2), normal(2)
+        for dot, matmul in ((a.dot(b), a @ b), (a.dot(b.conj().T), a @ b.conj().T),
+                            (p.dot(x), p @ x)):
+            assert _same_bits(dot, matmul), _broken(
+                "ndarray.dot of 4x4 @ 4x4, 4x4 @ a transposed 4x4 and 2x2 @ a 2-vector, "
+                "all complex, equals @ item by item"
+            )
+
+
 def test_hypot_of_the_parts_equals_abs_of_the_complex():
     rng = np.random.default_rng(3)
     z = rng.normal(size=20000) * 10.0 ** rng.uniform(-300, 300, 20000)

@@ -82,6 +82,20 @@ def test_hamiltonian_is_half_couplings():
     assert h_all[0, 2] == 0.0625
 
 
+def test_hamiltonian_equals_the_dense_distance_formula():
+    # build_hamiltonian lays one coupling per distance out as a Toeplitz matrix;
+    # every sweep chain keeps the bits of the dense |i - j| ** -3 / 2 formula
+    for n in range(4, 201):
+        idx = np.arange(n, dtype=float)
+        dist = np.abs(idx[:, None] - idx[None, :])
+        nn = (dist == 1.0).astype(float) / 2.0
+        np.fill_diagonal(dist, np.inf)
+        for kind, dense in ((Coupling.NEAREST_NEIGHBOR, nn), (Coupling.ALL_NODE, dist**-3 / 2.0)):
+            h = build_hamiltonian(CouplingModel(kind, n))
+            assert h.dtype == dense.dtype and h.shape == dense.shape, (kind, n)
+            assert h.tobytes() == dense.tobytes(), (kind, n)
+
+
 def test_tridiagonal_spectrum_matches_analytic_cosines():
     # hopping 1/2 on an open 4-site chain: eigenvalues cos(m pi / 5)
     dec = chain_decomposition(CouplingModel(Coupling.NEAREST_NEIGHBOR, 4))

@@ -159,6 +159,16 @@ def test_extended_density_rejects_unphysical_amplitudes():
         region_grid(loud, dec, 0.25)
     with pytest.raises(ValueError, match="exceeds 1"):
         beta2_coverage(loud, dec, 0.5, 0.5, 8)
+    # f = (a1 - a2, 0): the total 1/2 + (1 - cos(2 pi phi2)) / 2 first exceeds 1
+    # at phi2 = 3/8, and coverage names that point and its total as create_state does
+    mixing = dataclasses.replace(loud, p=np.array([[1.0, -1.0], [0.0, 0.0]]) + 0j)
+    for k in range(3):
+        create_state(mixing, dec, ControlParams(0.5, 0.5, 0.0, k / 8))
+    with pytest.raises(ValueError) as first:
+        create_state(mixing, dec, ControlParams(0.5, 0.5, 0.0, 3 / 8))
+    with pytest.raises(ValueError) as coverage:
+        beta2_coverage(mixing, dec, 0.5, 0.5, 8)
+    assert str(coverage.value) == str(first.value)
 
 
 def test_extended_density_eigenvalues_match_closed_form_at_optimum():
@@ -499,6 +509,45 @@ def test_beta2_coverage_equals_scalar_loop(kind, with_v):
                 assert not report.defined
             else:
                 assert report.defined and np.array_equal(report.beta2, expected)
+
+
+def test_coverage_takes_pow_squares_only_near_the_bound(monkeypatch):
+    calls = []
+
+    def counting_pow(x, y):
+        calls.append(x)
+        return pow(x, y)
+
+    monkeypatch.setattr(rsc, "pow", counting_pow, raising=False)
+    protocol, dec = _protocol(Coupling.ALL_NODE, 109, True), _dec(Coupling.ALL_NODE, 109)
+    assert beta2_coverage(protocol, dec, 0.3, 0.6, 512).defined
+    assert not calls
+    grid = region_grid(protocol, dec, 0.25)
+    assert len(calls) == 2 * len(grid)  # the |f|^2 that each state holds
+
+
+def test_coverage_decides_near_the_bound_with_pow(monkeypatch):
+    # at alpha1 = alpha2 = 0 the arrivals are P's first column, (c, 0), so
+    # np.square gives the total c * c: just below the bound
+    bound = 1.0 + rsc.CONSTRAINT_TOL
+    c = math.sqrt(bound)
+    while c * c > bound:
+        c = math.nextafter(c, 0.0)
+    protocol = dataclasses.replace(_protocol(Coupling.ALL_NODE, 6, True), p=c * np.eye(2) + 0j)
+    dec = _dec(Coupling.ALL_NODE, 6)
+    assert c * c > bound - 1e-15
+    assert not beta2_coverage(protocol, dec, 0.0, 0.0, 8).defined
+    create_state(protocol, dec, ControlParams(0.0, 0.0, 0.0, 0.0))
+
+    def loud_pow(x, y):
+        return pow(x, y) * (1.0 + 1e-12)
+
+    monkeypatch.setattr(rsc, "pow", loud_pow, raising=False)
+    total = 0.0 + (loud_pow(c, 2) + 0.0)
+    message = f"invalid amplitude vector: f0^2 + |f_nm1|^2 + |f_n|^2 = {total!r} exceeds 1"
+    with pytest.raises(ValueError) as raised:
+        beta2_coverage(protocol, dec, 0.0, 0.0, 8)
+    assert str(raised.value) == message
 
 
 def test_beta2_coverage_sample_validation():
