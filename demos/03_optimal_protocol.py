@@ -35,8 +35,7 @@ def main():
 
     a1, a2 = rotated.a_opt.tolist()
     print(f"optimal sender amplitudes: a1 = {a1:.4f}, a2 = {a2:.4f}")
-    print(f"singular values of P(t0): {rotated.svd.lam.lam_minus:.6f}, "
-          f"{rotated.svd.lam.lam_plus:.6f}")
+    print(f"singular values of P(t0): {rotated.lam_minus:.6f}, {rotated.lam_plus:.6f}")
 
     # run the pipeline at the optimum: no vacuum weight and a = a_opt, whose
     # control angles are its weights' split and the phases in turns

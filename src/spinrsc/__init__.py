@@ -26,17 +26,13 @@ from .errors import (
 from .optimize import (
     CriticalLength,
     OptimalProtocol,
-    SingularPair,
-    SvdTriple,
     SweepModel,
     SweepRow,
     critical_length,
     lam_plus_sq,
     maximize_over_time,
     optimal_protocol,
-    optimal_sender_state,
     row_norm_sq,
-    svd_decompose,
     sweep,
 )
 from .oracle import (
@@ -55,7 +51,6 @@ from .rsc import (
     RegionGrid,
     RegionRow,
     beta2_coverage,
-    creatable_params,
     create_state,
     receiver_from_params,
     region_grid,

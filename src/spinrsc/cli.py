@@ -125,9 +125,9 @@ def _cmd_optimize(args) -> int:
         "t0": protocol.t0,
         "r_max_sq": protocol.r_max_sq,
         "a_opt": protocol.a_opt,
-        "u": protocol.svd.u,
-        "v0": protocol.svd.v0,
-        "lam": [protocol.svd.lam.lam_minus, protocol.svd.lam.lam_plus],
+        "u": protocol.u,
+        "v0": protocol.v_svd,  # the SVD's left factor, with or without --with-v
+        "lam": [protocol.lam_minus, protocol.lam_plus],
     }
     print(_render(out))
     return 0

@@ -3,15 +3,17 @@
 The squared norm of ``P a`` over unit sender vectors ``a`` is bounded by the
 largest squared singular value of ``P``, and that bound is attained by the
 dominant right singular vector.  Everything in this module is built on that
-fact: the 2x2 singular value decomposition supplies the optimal sender state
-``a_opt``, the receiver-side unitary ``v0`` and the transfer probability,
-and a scalar search over time locates the first maximum of the protocol
-variant's objective: :func:`lam_plus_sq` with the receiver-side unitary,
-:func:`row_norm_sq` without it.  An objective is a function of a
-``(2, 2, T)`` stack of P matrices, so one stack on a uniform grid serves
-every objective of a chain in a single coarse scan (``amplitude_grid``),
-and one golden-section search over arrays of brackets refines the brackets
-of many chains at once, on single-time ``amplitude_matrix`` products.
+fact.  A scalar search over time locates the first maximum of the protocol
+variant's objective (:func:`lam_plus_sq` with the receiver-side unitary,
+:func:`row_norm_sq` without it), and :func:`optimal_protocol` returns one
+record, :class:`OptimalProtocol`: ``P(t0)``, its 2x2 singular value
+decomposition, which supplies the receiver-side unitary and the transfer
+probability, and the optimal sender state ``a_opt``.  An objective is a
+function of a ``(2, 2, T)`` stack of P matrices, so one stack on a uniform
+grid serves every objective of a chain in a single coarse scan
+(``amplitude_grid``), and one golden-section search over arrays of brackets
+refines the brackets of many chains at once, on single-time
+``amplitude_matrix`` products.
 """
 
 from __future__ import annotations
@@ -49,14 +51,10 @@ SCAN_POINTS_PER_NODE = 21
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 __all__ = [
-    "SingularPair",
-    "SvdTriple",
     "OptimalProtocol",
     "SweepModel",
     "SweepRow",
     "CriticalLength",
-    "svd_decompose",
-    "optimal_sender_state",
     "lam_plus_sq",
     "row_norm_sq",
     "maximize_over_time",
@@ -66,43 +64,25 @@ __all__ = [
 ]
 
 
-class SingularPair(NamedTuple):
-    lam_minus: float
-    lam_plus: float
-
-
-@dataclass(frozen=True, eq=False)
-class SvdTriple:
-    """Decomposition ``P = v0^+ . diag(lam) . u`` with unitary ``v0`` and ``u``.
-
-    Singular values are ascending: ``lam = (lam_minus, lam_plus)``.  The
-    second row of ``v0`` is fixed to the conjugated optimal arrival
-    amplitudes divided by their norm, the first row to the orthogonal
-    complement ``(f_n, -f_nm1)`` of those amplitudes; this pins the gauge so
-    repeated runs emit identical matrices.  ``v0`` is read-only.
-    """
-
-    v0: np.ndarray
-    lam: SingularPair
-    u: np.ndarray
-
-
-def svd_decompose(p: np.ndarray) -> SvdTriple:
-    """Singular value decomposition of ``P`` in the fixed gauge.
+def _svd(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``(u, v_svd, lam_minus, lam_plus)`` with ``P = v_svd^+ diag(lam_minus, lam_plus) u``.
 
     Built from the eigendecomposition of ``P^+ P``: the dominant eigenvector
-    is the optimal sender excitation, its image under ``P`` fixes ``v0``,
+    is the optimal sender excitation, its image under ``P`` fixes ``v_svd``,
     and the subdominant phase is chosen so the reconstruction is exact.
     Degenerate singular values fall back to the sender vector ``(0, 1)``.
+    The second row of ``v_svd`` is the conjugated optimal arrival amplitudes
+    divided by their norm, its first row their orthogonal complement
+    ``(f_n, -f_nm1)``; this pins the gauge, so repeated runs give identical
+    matrices.  Both unitaries are read-only.
     """
-    p = np.asarray(p, dtype=complex)
     evals, evecs = np.linalg.eigh(p.conj().T @ p)
     lam = np.sqrt(np.clip(evals, 0.0, None))
     lam_minus, lam_plus = float(lam[0]), float(lam[1])
     if lam_plus == 0.0:
         eye = np.eye(2, dtype=complex)
         eye.flags.writeable = False
-        return SvdTriple(v0=eye, lam=SingularPair(0.0, 0.0), u=eye)
+        return eye, eye, 0.0, 0.0
     if lam_plus - lam_minus <= 1e-13 * lam_plus:
         a_opt = np.array([0.0, 1.0], dtype=complex)
     else:
@@ -111,7 +91,7 @@ def svd_decompose(p: np.ndarray) -> SvdTriple:
         a_opt = a_opt * (lead.conjugate() / abs(lead))
     f_opt = p @ a_opt
     r_opt = float(np.linalg.norm(f_opt))
-    v0 = (
+    v_svd = (
         np.array(
             [
                 [f_opt[1], -f_opt[0]],
@@ -121,27 +101,12 @@ def svd_decompose(p: np.ndarray) -> SvdTriple:
         / r_opt
     )
     x1 = np.array([a_opt[1].conjugate(), -a_opt[0].conjugate()])
-    c = v0[0] @ (p @ x1)  # = w1^+ P x1 for w1 the first column of v0^+
+    c = v_svd[0] @ (p @ x1)  # = w1^+ P x1 for w1 the first column of v_svd^+
     if abs(c) > 0.0:
         x1 = x1 * (c.conjugate() / abs(c))
     u = np.vstack([x1.conjugate(), a_opt.conjugate()])
-    v0.flags.writeable = False
-    return SvdTriple(v0=v0, lam=SingularPair(lam_minus, lam_plus), u=u)
-
-
-def optimal_sender_state(svd: SvdTriple) -> np.ndarray:
-    """Sender excitation amplitudes maximising the extended-receiver transfer probability.
-
-    Returns the read-only unit column ``(a1, a2) = u^+ (0, 1)^T``, for which
-    ``||P a||`` equals the largest singular value.
-    """
-    if svd.lam.lam_plus <= 0.0:
-        raise DegenerateProtocolError(
-            "no excitation reaches the extended receiver (largest singular value is 0)"
-        )
-    a = svd.u.conj().T @ np.array([0.0, 1.0])
-    a.flags.writeable = False
-    return a
+    u.flags.writeable = v_svd.flags.writeable = False
+    return u, v_svd, lam_minus, lam_plus
 
 
 def lam_plus_sq(ps: np.ndarray) -> np.ndarray:
@@ -312,26 +277,33 @@ def _rotation(v0: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class OptimalProtocol:
-    """Everything needed to run the creation pipeline at the optimal time.
+    """The one record of an optimised protocol: ``P(t0)``, its SVD and the optimal sender.
 
     ``r_max_sq`` is the maximised transfer probability: the largest squared
     singular value of ``P(t0)`` when the receiver-side unitary is used,
     otherwise the squared norm of the bottom row.  ``p`` is ``P(t0)`` itself,
-    read-only, so the creation pipeline never recomputes it.  ``a_opt`` is the
-    optimal sender's read-only unit column ``(a1, a2)``, with no vacuum weight.
+    so the creation pipeline never recomputes it.  ``u``, ``v_svd``,
+    ``lam_minus`` and ``lam_plus`` are its singular value decomposition
+    ``P = v_svd^+ diag(lam_minus, lam_plus) u``, in the gauge that fixes the
+    second row of ``v_svd`` to the conjugated optimal arrival direction.
+    ``a_opt`` is the optimal sender's unit column ``(a1, a2)``, with no
+    vacuum weight.  Every array is read-only.
     """
 
     t0: float
     r_max_sq: float
     p: np.ndarray
-    svd: SvdTriple
+    u: np.ndarray
+    v_svd: np.ndarray
+    lam_minus: float
+    lam_plus: float
     a_opt: np.ndarray
     with_v: bool = True
 
     @property
     def v0(self) -> np.ndarray:
-        """Receiver-side unitary: the SVD left factor, or identity when disabled."""
-        return self.svd.v0 if self.with_v else np.eye(2, dtype=complex)
+        """Receiver-side unitary: the SVD's left factor ``v_svd``, or identity when disabled."""
+        return self.v_svd if self.with_v else np.eye(2, dtype=complex)
 
     @functools.cached_property
     def rotation(self) -> np.ndarray:
@@ -344,27 +316,32 @@ class OptimalProtocol:
 
 
 def optimal_protocol(dec: SpectralDecomposition, with_v: bool = True) -> OptimalProtocol:
-    """Time-optimised transfer protocol for one chain.
+    """Time-optimised transfer protocol for one chain, with the SVD of its ``P(t0)``.
 
     With the receiver-side unitary the objective is the largest squared
-    singular value and ``a_opt`` comes from the SVD; without it the
+    singular value and ``a_opt = u^+ (0, 1)^T`` is the dominant right
+    singular vector, for which ``||P a||`` equals ``lam_plus``; without it the
     objective is the bottom-row norm and ``a_opt`` is the normalised
     conjugate of that row (which maximises ``|f_N|``).
     """
     t0, value = maximize_over_time(dec, _objective(with_v))
     p = amplitude_matrix(dec, t0)
     p.flags.writeable = False
-    svd = svd_decompose(p)
+    u, v_svd, lam_minus, lam_plus = _svd(p)
     if with_v:
-        a_opt = optimal_sender_state(svd)
+        if lam_plus <= 0.0:
+            raise DegenerateProtocolError(
+                "no excitation reaches the extended receiver (largest singular value is 0)"
+            )
+        a_opt = u.conj().T @ np.array([0.0, 1.0])
     else:
         row = p[1].conj()
         nrm = float(np.linalg.norm(row))
         if nrm == 0.0:
             raise DegenerateProtocolError("no excitation reaches the receiver node")
         a_opt = row / nrm
-        a_opt.flags.writeable = False
-    return OptimalProtocol(t0=t0, r_max_sq=value, p=p, svd=svd, a_opt=a_opt, with_v=with_v)
+    a_opt.flags.writeable = False
+    return OptimalProtocol(t0, value, p, u, v_svd, lam_minus, lam_plus, a_opt, with_v)
 
 
 class SweepModel(enum.Enum):

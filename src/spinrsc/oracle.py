@@ -40,13 +40,12 @@ SAMPLE_CHUNK = 1 << 14  # candidate disc points drawn and evaluated at a time
 
 __all__ = [
     "TransferMode",
-    "basis_index",
     "full_transition_amplitude",
     "sample_max_transfer",
 ]
 
 
-def basis_index(node: int) -> int:
+def _basis_index(node: int) -> int:
     """Computational-basis index of |node>: 0 is the vacuum, node i sets bit i-1."""
     return 0 if node == 0 else 1 << (node - 1)
 
@@ -93,7 +92,7 @@ def _full_spectrum(kind: Coupling, n: int, sector: int):
     """
     pairs, dim = _coupled_pairs(CouplingModel(kind, n)), 1 << n
     basis = np.zeros((n, dim))  # rows: the orthonormal Lanczos vectors
-    basis[0, basis_index(sector)] = 1.0
+    basis[0, _basis_index(sector)] = 1.0
     w = np.empty(dim)  # the residual of the newest vector
     alphas, betas = [], []
     k = 1  # Lanczos vectors so far
@@ -115,7 +114,7 @@ def _full_spectrum(kind: Coupling, n: int, sector: int):
         raise SpinRscError(f"node 1's space misses one-excitation states: closed at {k} of {n}")
     tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
     evals, s = np.linalg.eigh(tri)
-    nodes = [basis_index(node) for node in range(n + 1)]
+    nodes = [_basis_index(node) for node in range(n + 1)]
     return evals, basis[:k, nodes].T @ s
 
 

@@ -60,7 +60,6 @@ __all__ = [
     "RegionRow",
     "RegionGrid",
     "CoverageReport",
-    "creatable_params",
     "receiver_from_params",
     "create_state",
     "region_grid",
@@ -155,7 +154,16 @@ class CreatableParams:
 
 
 def _coordinates(r_z_sq: float, off: complex) -> tuple[float, float, float]:
-    """The coordinates of :func:`creatable_params` from ``rho[1, 1].real`` and ``rho[0, 1]``."""
+    """``(lam, beta1, beta2)`` of a 2x2 receiver state from ``rho[1, 1].real`` and ``rho[0, 1]``.
+
+    The coordinates are pinned by the reconstruction identity of
+    :func:`receiver_from_params`.  Note the sign convention: ``beta2`` is the
+    negated phase (in turns) of the upper coherence, which is what the
+    eigenvector parametrisation requires; reading ``beta2`` directly as the
+    phase of the transformed arrival amplitude flips its sign.  When the
+    receiver carries no excitation or the state is maximally mixed, both
+    betas are zero.
+    """
     disc = math.hypot(1.0 - 2.0 * r_z_sq, 2.0 * abs(off))
     lam = 0.5 * (1.0 + disc)
     if r_z_sq <= 1e-30:
@@ -185,21 +193,6 @@ def _coordinate_arrays(r_z_sq: np.ndarray, off: np.ndarray) -> tuple[np.ndarray,
     beta1 = np.where(empty, 0.0, _scalar(math.atan2, y, x) / math.pi)
     turns = np.remainder(-_scalar(cmath.phase, off) / (2.0 * math.pi), 1.0)
     return lam, beta1, np.where(empty | (off == 0), 0.0, turns)
-
-
-def creatable_params(rho_r: np.ndarray) -> CreatableParams:
-    """Extract (lam, beta1, beta2) from a 2x2 receiver density matrix.
-
-    The coordinates are pinned by the reconstruction identity of
-    :func:`receiver_from_params`.  Note the sign convention: ``beta2`` is the
-    negated phase (in turns) of the upper coherence, which is what the
-    eigenvector parametrisation requires; reading ``beta2`` directly as the
-    phase of the transformed arrival amplitude flips its sign.  When the
-    receiver carries no excitation or the state is maximally mixed, both
-    betas are zero.
-    """
-    rho = np.asarray(rho_r, dtype=complex)
-    return CreatableParams(*_coordinates(float(rho[1, 1].real), complex(rho[0, 1])))
 
 
 def receiver_from_params(params: CreatableParams) -> np.ndarray:
@@ -296,13 +289,16 @@ def _create_batch(p: np.ndarray, v: np.ndarray, alpha1, alpha2, phi1, phi2) -> n
     result read as ``(4B, 4)``.  Every item keeps the bits of its own 4x4
     products.  The batch stays on the gemms' N side: a ``(4B, 4) @ v^+``
     gemm gives the same bits, but OpenBLAS packs its 4B rows into its
-    buffer, and it raised the peak RSS further.
+    buffer, and it raised the peak RSS further.  It returns only the entries
+    that :func:`region_grid` reads, ``rho_r[:, 1, 1]`` and ``rho_r[:, 0, 1]``:
+    the vacuum population ``rho[0, :, 0]`` is left zero.  The rotation leaves
+    index 0 alone, so only ``rho_r[:, 0, 0]`` would read it, and that entry
+    is not the state's.
     """
     a0, f, mag = _arrivals(p, alpha1, alpha2, phi1, phi2)
     f_nm1, f_n = f[:, 0, 0], f[:, 1, 0]
     sq = _scalar(pow, mag, 2)  # x ** 2 is libm pow; np.square rounds differently in rare cases
     rho = np.zeros((4, len(a0), 4), dtype=complex)
-    rho[0, :, 0] = 1.0 - (sq[:, 0] + sq[:, 1])
     rho[1, :, 1], rho[2, :, 2] = sq.T  # |f_nm1|^2 and |f_n|^2
     for i, j, x, y in ((0, 1, a0, f_nm1), (0, 2, a0, f_n), (1, 2, f_nm1, f_n)):
         re, im = _product(x.real, x.imag, y.real, -y.imag)  # x conj(y)
@@ -330,7 +326,7 @@ def create_state(
     a2 = math.cos(half1) * math.sin(half2) * cmath.exp(2j * math.pi * controls.phi2)
     f_nm1, f_n = protocol.p.dot(np.array([a1, a2])).tolist()
     rho_r = _reduce(_extended_density(math.sin(half1), f_nm1, f_n), protocol.rotation)
-    # creatable_params's reads, rho[1, 1].real and rho[0, 1], taken directly
+    # _coordinates reads rho[1, 1].real and rho[0, 1], taken here directly
     return rho_r, CreatableParams(*_coordinates(rho_r.item(3).real, rho_r.item(1)))
 
 

@@ -22,6 +22,8 @@ from spinrsc import row_norm_sq
 from spinrsc.propagate import _weights, amplitude_grid
 from spinrsc.rsc import CHUNK_POINTS, _arrivals, _extended_density, _scalar
 
+pytestmark = pytest.mark.two_blas_threads  # CI runs these under two BLAS threads too
+
 ROOT = Path(__file__).resolve().parents[1]
 RECORDED = "numpy 2.4.6 / OpenBLAS 0.3.31"
 RUNNING = (

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,26 @@ def test_every_package_reexport_is_in_its_modules_all():
         if name not in importlib.import_module(f"spinrsc.{module_name}").__all__
     ]
     assert stray == []
+
+
+# What the CLI, the demos, the README and bench/ call, and the types those
+# functions take, return or raise.  A helper that only tests use stays private.
+PACKAGE_EXPORTS = {
+    "ControlParams", "CoverageReport", "CreatableParams", "CriticalLength", "Coupling",
+    "CouplingModel", "DegenerateProtocolError", "EigensolverError", "MaximumNotFoundError",
+    "OptimalProtocol", "RegionGrid", "RegionRow", "SpectralDecomposition", "SpinRscError",
+    "SweepModel", "SweepRow", "TransferMode", "amplitude_matrix", "beta2_coverage",
+    "build_hamiltonian", "chain_decomposition", "create_state", "critical_length",
+    "full_transition_amplitude", "lam_plus_sq", "maximize_over_time", "optimal_protocol",
+    "receiver_from_params", "region_grid", "row_norm_sq", "sample_max_transfer", "sweep",
+    "transition_amplitude",
+}
+
+
+def test_package_exports_exactly_the_public_api():
+    public = {
+        name
+        for name, value in vars(spinrsc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == PACKAGE_EXPORTS

@@ -12,6 +12,8 @@ import pytest
 
 from spinrsc.cli import build_parser, main
 
+pytestmark = pytest.mark.two_blas_threads  # CI runs these under two BLAS threads too
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 OUT = "{out}"  # replaced by a temporary path for the subcommands that write a file
 

@@ -22,15 +22,13 @@ from spinrsc import (
     lam_plus_sq,
     maximize_over_time,
     optimal_protocol,
-    optimal_sender_state,
     row_norm_sq,
     sample_max_transfer,
-    svd_decompose,
     sweep,
 )
 from spinrsc import optimize
 from spinrsc.cli import main
-from spinrsc.optimize import COARSE_STEP, SIGNIFICANCE_FLOOR
+from spinrsc.optimize import COARSE_STEP, SIGNIFICANCE_FLOOR, _svd
 from spinrsc.propagate import _weights, amplitude_grid
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -39,6 +37,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 @functools.lru_cache(maxsize=None)
 def _dec(kind: Coupling, n: int):
     return chain_decomposition(CouplingModel(kind, n))
+
+
+def _recon(u, v_svd, lam_minus, lam_plus) -> np.ndarray:
+    """``v_svd^+ diag(lam_minus, lam_plus) u``, the matrix an SVD decomposes."""
+    return v_svd.conj().T @ np.diag([lam_minus, lam_plus]) @ u
+
+
+def _sender(u) -> np.ndarray:
+    """The dominant right singular vector ``u^+ (0, 1)^T``, the optimal sender with V."""
+    return u.conj().T @ np.array([0.0, 1.0])
 
 
 def _closed_form_singular(p: np.ndarray) -> tuple[float, float]:
@@ -65,48 +73,48 @@ def _closed_form_singular(p: np.ndarray) -> tuple[float, float]:
 
 
 def test_singular_values_trivial_cases():
-    assert svd_decompose(np.zeros((2, 2))).lam == (0.0, 0.0)
-    pair = svd_decompose(np.diag([0.3, 0.4])).lam
-    assert pair.lam_minus == pytest.approx(0.3, abs=1e-14)
-    assert pair.lam_plus == pytest.approx(0.4, abs=1e-14)
+    assert _svd(np.zeros((2, 2)))[2:] == (0.0, 0.0)
+    _, _, lam_minus, lam_plus = _svd(np.diag([0.3, 0.4]))
+    assert lam_minus == pytest.approx(0.3, abs=1e-14)
+    assert lam_plus == pytest.approx(0.4, abs=1e-14)
     stack = np.stack([np.zeros((2, 2)), np.diag([0.3, 0.4])], axis=-1)
     assert np.allclose(lam_plus_sq(stack), [0.0, 0.16], rtol=0.0, atol=1e-14)
 
 
 def test_singular_values_match_polar_closed_form():
     p = amplitude_matrix(_dec(Coupling.ALL_NODE, 6), 3.0)
-    got = svd_decompose(p).lam
+    _, _, lam_minus, lam_plus = _svd(p)
     expected = _closed_form_singular(p)
-    assert got.lam_minus == pytest.approx(expected[0], abs=1e-9)
-    assert got.lam_plus == pytest.approx(expected[1], abs=1e-9)
+    assert lam_minus == pytest.approx(expected[0], abs=1e-9)
+    assert lam_plus == pytest.approx(expected[1], abs=1e-9)
     assert lam_plus_sq(p[:, :, None])[0] == pytest.approx(expected[1] ** 2, abs=1e-9)
-    assert got.lam_minus**2 + got.lam_plus**2 == pytest.approx(
+    assert lam_minus**2 + lam_plus**2 == pytest.approx(
         float(np.sum(np.abs(p) ** 2)), abs=1e-10
     )
 
 
 def test_svd_degenerate_scaled_identity():
-    svd = svd_decompose(0.5 * np.eye(2))
-    assert svd.lam == (0.5, 0.5)
-    recon = svd.v0.conj().T @ np.diag(svd.lam) @ svd.u
-    assert np.max(np.abs(recon - 0.5 * np.eye(2))) < 1e-12
+    svd = _svd(0.5 * np.eye(2))
+    assert svd[2:] == (0.5, 0.5)
+    assert np.max(np.abs(_recon(*svd) - 0.5 * np.eye(2))) < 1e-12
     # fixed gauge resolves the degeneracy deterministically
-    assert np.allclose(svd.v0, np.eye(2))
-    assert np.allclose(svd.u, np.eye(2))
+    u, v_svd, _, _ = svd
+    assert np.allclose(v_svd, np.eye(2))
+    assert np.allclose(u, np.eye(2))
 
 
 def test_svd_zero_matrix():
-    svd = svd_decompose(np.zeros((2, 2)))
-    assert svd.lam == (0.0, 0.0)
-    assert np.allclose(svd.v0, np.eye(2))
-    assert np.allclose(svd.u, np.eye(2))
+    u, v_svd, lam_minus, lam_plus = _svd(np.zeros((2, 2)))
+    assert (lam_minus, lam_plus) == (0.0, 0.0)
+    assert np.allclose(v_svd, np.eye(2))
+    assert np.allclose(u, np.eye(2))
 
 
 def test_svd_antidiagonal_column_norms():
     p = np.array([[0.0, 0.6], [0.8, 0.0]])
-    svd = svd_decompose(p)
-    assert svd.lam.lam_plus == pytest.approx(0.8, abs=1e-14)
-    a = optimal_sender_state(svd)
+    u, _, _, lam_plus = _svd(p)
+    assert lam_plus == pytest.approx(0.8, abs=1e-14)
+    a = _sender(u)
     assert abs(a[0]) == pytest.approx(1.0, abs=1e-12)
     assert abs(a[1]) == pytest.approx(0.0, abs=1e-12)
 
@@ -115,11 +123,10 @@ def test_svd_reconstruction_and_sampling_bound_at_optimum():
     dec = _dec(Coupling.ALL_NODE, 5)
     t0, _ = maximize_over_time(dec, lam_plus_sq)
     p = amplitude_matrix(dec, t0)
-    svd = svd_decompose(p)
-    recon = svd.v0.conj().T @ np.diag(svd.lam) @ svd.u
-    assert np.max(np.abs(recon - p)) < 1e-10
+    svd = _svd(p)
+    assert np.max(np.abs(_recon(*svd) - p)) < 1e-10
     sampled = sample_max_transfer(p, TransferMode.EXT_RECEIVER_NORM, 10**5, seed=2)
-    assert sampled <= svd.lam.lam_plus**2 + 1e-6
+    assert sampled <= svd[3] ** 2 + 1e-6
 
 
 def test_svd_reconstruction_unitarity_random_chains():
@@ -128,38 +135,37 @@ def test_svd_reconstruction_unitarity_random_chains():
         n = int(rng.integers(4, 30))
         kind = Coupling.ALL_NODE if rng.random() < 0.5 else Coupling.NEAREST_NEIGHBOR
         p = amplitude_matrix(_dec(kind, n), float(rng.uniform(0.0, 4.0 * n)))
-        svd = svd_decompose(p)
-        recon = svd.v0.conj().T @ np.diag(svd.lam) @ svd.u
-        assert np.max(np.abs(recon - p)) < 1e-10
-        assert np.max(np.abs(svd.v0 @ svd.v0.conj().T - np.eye(2))) < 1e-10
-        assert np.max(np.abs(svd.u @ svd.u.conj().T - np.eye(2))) < 1e-10
-        assert 0.0 <= svd.lam.lam_minus <= svd.lam.lam_plus <= 1.0 + 1e-10
+        u, v_svd, lam_minus, lam_plus = _svd(p)
+        assert np.max(np.abs(_recon(u, v_svd, lam_minus, lam_plus) - p)) < 1e-10
+        assert np.max(np.abs(v_svd @ v_svd.conj().T - np.eye(2))) < 1e-10
+        assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-10
+        assert 0.0 <= lam_minus <= lam_plus <= 1.0 + 1e-10
 
 
 def test_v0_second_row_is_conjugated_arrival_direction():
     dec = _dec(Coupling.ALL_NODE, 9)
     t0, _ = maximize_over_time(dec, lam_plus_sq)
     p = amplitude_matrix(dec, t0)
-    svd = svd_decompose(p)
-    a = optimal_sender_state(svd)
-    f_opt = p @ a
+    u, v_svd, _, _ = _svd(p)
+    f_opt = p @ _sender(u)
     expected = f_opt.conj() / np.linalg.norm(f_opt)
-    assert np.max(np.abs(svd.v0[1] - expected)) < 1e-10
+    assert np.max(np.abs(v_svd[1] - expected)) < 1e-10
 
 
 def test_optimal_sender_state_unitary_rows():
-    svd = svd_decompose(np.diag([0.2, 0.7]))
-    a = optimal_sender_state(svd)
+    a = _sender(_svd(np.diag([0.2, 0.7]))[0])
     assert abs(a[1]) == pytest.approx(1.0, abs=1e-12)
 
-    anti = svd_decompose(np.array([[0.0, 0.2], [0.7, 0.0]]))
-    a = optimal_sender_state(anti)
+    a = _sender(_svd(np.array([[0.0, 0.2], [0.7, 0.0]]))[0])
     assert abs(a[0]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_optimal_sender_state_degenerate_error():
-    with pytest.raises(DegenerateProtocolError):
-        optimal_sender_state(svd_decompose(np.zeros((2, 2))))
+def test_optimal_sender_state_degenerate_error(monkeypatch):
+    # a P(t0) that reaches no receiver node has no optimal sender, with V or without
+    monkeypatch.setattr(optimize, "amplitude_matrix", lambda dec, t: np.zeros((2, 2), complex))
+    for with_v, message in ((True, "extended receiver"), (False, "receiver node")):
+        with pytest.raises(DegenerateProtocolError, match=message):
+            optimal_protocol(_dec(Coupling.ALL_NODE, 6), with_v=with_v)
 
 
 def test_optimal_sender_beats_basis_columns_long_chain():
@@ -239,14 +245,12 @@ def test_transfer_quadratic_form_identity():
         n = int(rng.integers(4, 25))
         dec = _dec(Coupling.ALL_NODE, n)
         p = amplitude_matrix(dec, float(rng.uniform(0.0, 3.0 * n)))
-        svd = svd_decompose(p)
+        u, _, lam_minus, lam_plus = _svd(p)
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         a /= np.linalg.norm(a)
         direct = float(np.linalg.norm(p @ a) ** 2)
-        b = svd.u @ a
-        via_svd = float(
-            svd.lam.lam_minus**2 * abs(b[0]) ** 2 + svd.lam.lam_plus**2 * abs(b[1]) ** 2
-        )
+        b = u @ a
+        via_svd = float(lam_minus**2 * abs(b[0]) ** 2 + lam_plus**2 * abs(b[1]) ** 2)
         assert direct == pytest.approx(via_svd, abs=1e-10)
 
 
@@ -410,6 +414,7 @@ def test_peakless_first_stage_brackets_like_default_scan(monkeypatch):
     assert got == expected
 
 
+@pytest.mark.two_blas_threads
 def test_first_stage_holds_every_first_hit(monkeypatch):
     # The coarse scan's one output is the grid index k of each objective's
     # first hit, bracketed by points k - 1 and k + 1.  The grid's last bits
@@ -469,6 +474,7 @@ def _scalar_golden_section(dec, objective, a, b):
     return t0, float(fn(t0))
 
 
+@pytest.mark.two_blas_threads
 def test_lock_step_refine_equals_scalar_golden_section():
     # Mixed chain lengths, both couplings and both objectives in one batch.
     # The bracket widths take 34, 29, 10 and 0 golden-section steps, so rows
@@ -491,6 +497,7 @@ def test_lock_step_refine_equals_scalar_golden_section():
     assert optimize._refine(rows[::2] + rows[1::2]) == expected[::2] + expected[1::2]
 
 
+@pytest.mark.two_blas_threads
 def test_single_search_equals_scalar_golden_section():
     for kind in Coupling:
         for n in (4, 17, 34, 37, 109):
@@ -522,15 +529,15 @@ def test_significance_floor_margins(full_sweep):
 
 
 def _assert_protocol_rebuilt_from(p: np.ndarray, protocol, label) -> None:
-    """``a_opt``, ``svd.v0`` and ``svd.u`` of ``protocol`` from an independent P(t0)."""
-    svd = svd_decompose(p)
+    """``a_opt``, ``v_svd`` and ``u`` of ``protocol`` from an independent P(t0)."""
+    u, v_svd, _, _ = _svd(p)
     if protocol.with_v:
-        a_opt = optimal_sender_state(svd)
+        a_opt = _sender(u)
     else:
         a_opt = p[1].conj() / np.linalg.norm(p[1])
     assert np.max(np.abs(a_opt - protocol.a_opt)) <= 1e-12, label
-    assert np.max(np.abs(svd.v0 - protocol.svd.v0)) <= 1e-12, label
-    assert np.max(np.abs(svd.u - protocol.svd.u)) <= 1e-12, label
+    assert np.max(np.abs(v_svd - protocol.v_svd)) <= 1e-12, label
+    assert np.max(np.abs(u - protocol.u)) <= 1e-12, label
 
 
 # The rows that decide the paper's critical lengths (34 / 37 / 109 at 1/2,
@@ -581,16 +588,16 @@ def test_closed_form_lam_plus_sq_overshoots_the_svd_by_rounding_only(full_sweep)
     # the value is documented, not clipped, so the optimize goldens keep it.
     rows, _ = full_sweep
     checked = [
-        (row.r_max_sq, svd_decompose(amplitude_matrix(_dec(Coupling.ALL_NODE, row.n), row.t0)))
+        (row.r_max_sq, _svd(amplitude_matrix(_dec(Coupling.ALL_NODE, row.n), row.t0))[3])
         for row in rows
         if row.model is SweepModel.ALL_WITH_V
     ]
     for n in range(4, 13):
         protocol = optimal_protocol(_dec(Coupling.NEAREST_NEIGHBOR, n), with_v=True)
-        checked.append((protocol.r_max_sq, protocol.svd))
+        checked.append((protocol.r_max_sq, protocol.lam_plus))
     assert len(checked) == 127 + 9
-    for r_max_sq, svd in checked:
-        assert abs(r_max_sq - svd.lam.lam_plus**2) <= 2e-14
+    for r_max_sq, lam_plus in checked:
+        assert abs(r_max_sq - lam_plus**2) <= 2e-14
         assert r_max_sq <= 1.0 + 2e-14
 
 
@@ -651,10 +658,9 @@ def test_optimal_sender_certificate_across_sweep():
             dec = _dec(model.coupling, n)
             t0, _ = maximize_over_time(dec, model.objective)
             p = amplitude_matrix(dec, t0)
-            svd = svd_decompose(p)
-            a = optimal_sender_state(svd)
-            achieved = float(np.linalg.norm(p @ a) ** 2)
-            assert achieved == pytest.approx(svd.lam.lam_plus**2, abs=1e-10)
+            u, _, _, lam_plus = _svd(p)
+            achieved = float(np.linalg.norm(p @ _sender(u)) ** 2)
+            assert achieved == pytest.approx(lam_plus**2, abs=1e-10)
             sampled = sample_max_transfer(
                 p, TransferMode.EXT_RECEIVER_NORM, 10**4, seed=n
             )
@@ -664,10 +670,10 @@ def test_optimal_sender_certificate_across_sweep():
 def test_protocol_fields_consistent():
     dec = _dec(Coupling.ALL_NODE, 12)
     protocol = optimal_protocol(dec, with_v=True)
-    assert protocol.r_max_sq == pytest.approx(protocol.svd.lam.lam_plus**2, abs=1e-10)
+    assert protocol.r_max_sq == pytest.approx(protocol.lam_plus**2, abs=1e-10)
     assert protocol.a_opt.shape == (2,) and protocol.a_opt.dtype == complex
     assert np.sum(np.abs(protocol.a_opt) ** 2) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(protocol.v0, protocol.svd.v0)
+    assert np.allclose(protocol.v0, protocol.v_svd)
 
     no_v = optimal_protocol(dec, with_v=False)
     p = amplitude_matrix(dec, no_v.t0)
@@ -690,14 +696,15 @@ def test_protocol_owns_p_and_a_checked_read_only_rotation():
         block = np.eye(4, dtype=complex)
         block[1:3, 1:3] = protocol.v0
         assert np.array_equal(rotation, block)
-        for array in (protocol.p, rotation, protocol.svd.v0, protocol.a_opt):
+        for array in (protocol.p, rotation, protocol.u, protocol.v_svd, protocol.a_opt):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
 
 def test_svd_v0_is_read_only_in_the_degenerate_case_too():
-    assert not svd_decompose(np.zeros((2, 2))).v0.flags.writeable
+    u, v_svd, _, _ = _svd(np.zeros((2, 2)))
+    assert not v_svd.flags.writeable and not u.flags.writeable
 
 
 def _taylor_step(h: np.ndarray, psi: np.ndarray, dt: float, terms: int = 40) -> np.ndarray:

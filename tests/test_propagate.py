@@ -60,6 +60,7 @@ def test_amplitude_grid_matches_series(kind):
     assert np.max(np.abs(grid - single)) <= 1e-13
 
 
+@pytest.mark.two_blas_threads
 @pytest.mark.parametrize("kind", list(Coupling))
 @pytest.mark.parametrize("n", [33, 34])
 def test_amplitude_grid_prefix_is_bit_identical(kind, n):
@@ -120,6 +121,7 @@ def test_amplitude_matrix_requires_disjoint_blocks():
         amplitude_matrix(dec, 1.0)
 
 
+@pytest.mark.two_blas_threads
 def test_series_matches_single_time_calls():
     # the refine probes a series of times in one batch, each its own
     # (4, n) @ (n, 1) product of the chain's P weights, so batching

@@ -17,7 +17,6 @@ from spinrsc import (
     amplitude_matrix,
     beta2_coverage,
     chain_decomposition,
-    creatable_params,
     create_state,
     optimal_protocol,
     receiver_from_params,
@@ -35,6 +34,11 @@ def _dec(kind: Coupling, n: int):
 @functools.lru_cache(maxsize=None)
 def _protocol(kind: Coupling, n: int, with_v: bool):
     return optimal_protocol(_dec(kind, n), with_v=with_v)
+
+
+def _params(rho) -> CreatableParams:
+    """The coordinates of a 2x2 receiver state, read as ``create_state`` reads them."""
+    return CreatableParams(*rsc._coordinates(float(rho[1, 1].real), complex(rho[0, 1])))
 
 
 @functools.lru_cache(maxsize=None)
@@ -227,7 +231,7 @@ def test_reduce_matches_transformed_amplitude():
 
 
 def test_creatable_params_trivial_cases():
-    cp = creatable_params(np.diag([1.0, 0.0]).astype(complex))
+    cp = _params(np.diag([1.0, 0.0]).astype(complex))
     assert cp.lam == pytest.approx(1.0, abs=1e-14)
     assert cp.beta1 == 0.0
     assert cp.beta2 == 0.0
@@ -235,7 +239,7 @@ def test_creatable_params_trivial_cases():
     # the maximally mixed state, with each signed zero of the coherence: the
     # CSV prints a -0.0 as "-0", so both betas must be +0.0
     for off in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
-        cp = creatable_params(np.array([[0.5, off], [off.conjugate(), 0.5]]))
+        cp = _params(np.array([[0.5, off], [off.conjugate(), 0.5]]))
         assert cp.lam == 0.5
         assert [math.copysign(1.0, x) for x in (cp.beta1, cp.beta2)] == [1.0, 1.0]
         assert (cp.beta1, cp.beta2) == (0.0, 0.0)
@@ -245,7 +249,7 @@ def test_creatable_params_balanced_coherent_state():
     # occupation 1/2 with maximal coherence: pure state, eigenvector tilted
     # half way, so lam = 1 and beta1 = 1/2
     rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    cp = creatable_params(rho)
+    cp = _params(rho)
     assert cp.lam == pytest.approx(1.0, abs=1e-14)
     assert cp.beta1 == pytest.approx(0.5, abs=1e-14)
 
@@ -258,7 +262,7 @@ def test_creatable_params_reconstruction_random_states():
         phase = cmath.exp(2j * math.pi * rng.uniform(0.0, 1.0))
         off = r0 * math.sqrt(r_z_sq) * phase
         rho = np.array([[1.0 - r_z_sq, off], [off.conjugate(), r_z_sq]])
-        cp = creatable_params(rho)
+        cp = _params(rho)
         assert 0.5 - 1e-12 <= cp.lam <= 1.0 + 1e-12
         assert np.max(np.abs(receiver_from_params(cp) - rho)) < 1e-10
 
@@ -273,7 +277,7 @@ def test_creatable_params_reconstruction_property(r_z_sq, r0_frac, phase):
     r0 = r0_frac * math.sqrt(max(1.0 - r_z_sq, 0.0))
     off = r0 * math.sqrt(r_z_sq) * cmath.exp(2j * math.pi * phase)
     rho = np.array([[1.0 - r_z_sq, off], [off.conjugate(), r_z_sq]])
-    cp = creatable_params(rho)
+    cp = _params(rho)
     assert np.max(np.abs(receiver_from_params(cp) - rho)) < 1e-10
 
 
@@ -330,6 +334,7 @@ def test_region_grid_apex_and_shape():
         assert 0.5 - 1e-12 <= row.lam <= 1.0 + 1e-12
 
 
+@pytest.mark.two_blas_threads
 def test_region_grid_rows_equal_create_state():
     # alpha1 = 0.005 holds the ill-conditioned band alpha2 ~ 0.40-0.435
     # (lam ~ 0.506), where an ulp in rho_r moves beta1 by ~1e-14
@@ -342,6 +347,7 @@ def test_region_grid_rows_equal_create_state():
         assert (row.lam, row.beta1, row.beta2) == (cp.lam, cp.beta1, cp.beta2)
 
 
+@pytest.mark.two_blas_threads
 def test_region_grid_equals_benchmark_reference():
     reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
     rows = _region_109()
@@ -352,6 +358,7 @@ def test_region_grid_equals_benchmark_reference():
             assert np.array_equal(np.array([getattr(r, field) for r in rows]), ref[field])
 
 
+@pytest.mark.two_blas_threads
 def test_coordinate_arrays_equal_the_scalar_coordinates():
     # the receiver states of the benchmark's grid, then hand-built states for
     # both early branches: no excitation (r_z_sq <= 1e-30) and no coherence
@@ -439,7 +446,7 @@ def test_results_that_hold_arrays_compare_by_identity_and_hash():
         dec = chain_decomposition(CouplingModel(Coupling.ALL_NODE, 9))
         protocol = optimal_protocol(dec, with_v=True)
         grid = region_grid(protocol, dec, 0.25)
-        return dec, protocol.svd, protocol, beta2_coverage(protocol, dec, 0.5, 0.9, 100), grid
+        return dec, protocol, beta2_coverage(protocol, dec, 0.5, 0.9, 100), grid
 
     for first, second in zip(results(), results()):
         assert first == first and first != second, type(first).__name__
@@ -623,7 +630,7 @@ def _old_create_state(protocol, dec, controls):
             [m[2, 0] + m[3, 1], m[2, 2] + m[3, 3]],
         ]
     )
-    return rho_r, creatable_params(rho_r)
+    return rho_r, _params(rho_r)
 
 
 def _bits(states):
@@ -633,6 +640,7 @@ def _bits(states):
     return rhos.view(np.int64), params.view(np.int64)
 
 
+@pytest.mark.two_blas_threads
 @pytest.mark.parametrize(
     "kind, n, with_v",
     [(Coupling.ALL_NODE, 109, True), (Coupling.ALL_NODE, 37, False),
@@ -672,7 +680,7 @@ def test_protocol_with_non_unitary_v0_is_refused_on_first_use():
         (np.array([[1.0, 0.0], [0.0, 0.5]], dtype=complex), "not unitary"),
         (np.eye(3, dtype=complex), "v0 must be 2x2"),
     ):
-        bad = dataclasses.replace(protocol, svd=dataclasses.replace(protocol.svd, v0=bad_v0))
+        bad = dataclasses.replace(protocol, v_svd=bad_v0)
         with pytest.raises(ValueError, match=message):
             create_state(bad, dec, ControlParams(0.3, 0.6, 0.1, 0.8))
         with pytest.raises(ValueError, match=message):
