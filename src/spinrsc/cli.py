@@ -4,11 +4,13 @@ Exit codes: 0 on success, 1 on a domain error (invalid physics input), an
 output file that cannot be written, an input too large for memory or a
 ``verify`` deviation above ``VERIFY_TOL``, 2 on a usage error.  Numeric output
 has 17 significant digits, so identical invocations give identical artifacts.
+``main`` parses with one parser per process; ``build_parser`` builds a new one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -293,8 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on the first call: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SpinRscError, ValueError, OSError, MemoryError) as exc:

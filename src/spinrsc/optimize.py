@@ -49,6 +49,8 @@ SIGNIFICANCE_FLOOR = 1e-3
 # test_first_stage_holds_every_first_hit checks that no chain falls through.
 SCAN_POINTS_PER_NODE = 21
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_IDENTITY = np.eye(2, dtype=complex)  # the one read-only 2x2 identity the records share
+_IDENTITY.flags.writeable = False
 
 __all__ = [
     "OptimalProtocol",
@@ -80,9 +82,7 @@ def _svd(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float]:
     lam = np.sqrt(np.clip(evals, 0.0, None))
     lam_minus, lam_plus = float(lam[0]), float(lam[1])
     if lam_plus == 0.0:
-        eye = np.eye(2, dtype=complex)
-        eye.flags.writeable = False
-        return eye, eye, 0.0, 0.0
+        return _IDENTITY, _IDENTITY, 0.0, 0.0
     if lam_plus - lam_minus <= 1e-13 * lam_plus:
         a_opt = np.array([0.0, 1.0], dtype=complex)
     else:
@@ -302,8 +302,8 @@ class OptimalProtocol:
 
     @property
     def v0(self) -> np.ndarray:
-        """Receiver-side unitary: the SVD's left factor ``v_svd``, or identity when disabled."""
-        return self.v_svd if self.with_v else np.eye(2, dtype=complex)
+        """Receiver-side unitary, read-only: ``v_svd``, or the shared identity when disabled."""
+        return self.v_svd if self.with_v else _IDENTITY
 
     @functools.cached_property
     def rotation(self) -> np.ndarray:

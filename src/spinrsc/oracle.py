@@ -5,7 +5,8 @@ states, with no reference to excitation-number structure.  For every
 coupled pair of nodes i < j it swaps an excitation between bits i and j
 with the matrix element d_ij / 2.  ``_apply`` adds each such term through
 strided views of the 2^N vector and is the one encoding of that action;
-no dense 2^N x 2^N matrix is ever formed.
+no dense 2^N x 2^N matrix is ever formed.  ``_pair_plan`` builds those views
+once per spectrum, on the two buffers every Lanczos step reuses.
 ``full_transition_amplitude`` runs one Lanczos, with full
 reorthogonalisation, per chain and excitation sector until its Krylov space
 closes (beta ~ 0); on that invariant space ``exp(-i H t)`` is exact for
@@ -65,19 +66,37 @@ def _coupled_pairs(model: CouplingModel) -> list[tuple[int, int, float]]:
     ]
 
 
-def _apply(pairs, n: int, v: np.ndarray, out: np.ndarray) -> None:
-    """Write ``H v`` into ``out`` for a full 2^N vector, through strided views.
+def _pair_plan(pairs, n: int, v: np.ndarray, out: np.ndarray) -> list:
+    """The half-terms of every pair, as views on the contiguous 2^N buffers ``v`` and ``out``.
 
     Viewed as ``(2^(n-1-j), 2, 2^(j-i-1), 2, 2^i)``, axis 1 is bit j and
     axis 3 is bit i, so a pair term moves ``[:, 0, :, 1, :]`` (excitation on
-    i) into ``[:, 1, :, 0, :]`` and back.  No index array is formed.
+    i) into ``[:, 1, :, 0, :]`` and back.  Each half-term is ``(element,
+    source, destination, scratch)``; the scratch views share one 2^(N-2)
+    buffer.  No index array is formed.
     """
-    out[:] = 0.0
+    scratch = np.empty(1 << (n - 2))
+    plan = []
     for i, j, element in pairs:
         shape = (1 << (n - 1 - j), 2, 1 << (j - i - 1), 2, 1 << i)
         src, dst = v.reshape(shape), out.reshape(shape)
-        dst[:, 1, :, 0, :] += element * src[:, 0, :, 1, :]
-        dst[:, 0, :, 1, :] += element * src[:, 1, :, 0, :]
+        tmp = scratch.reshape(shape[0], shape[2], shape[4])
+        plan.append((element, src[:, 0, :, 1, :], dst[:, 1, :, 0, :], tmp))
+        plan.append((element, src[:, 1, :, 0, :], dst[:, 0, :, 1, :], tmp))
+    return plan
+
+
+def _apply(plan, v: np.ndarray, out: np.ndarray) -> None:
+    """Write ``H v`` into ``out`` through ``plan``, built once per spectrum on these two buffers.
+
+    Each half-term is one multiply into its scratch and one add into its
+    destination, in pair order: the products and sums of
+    ``dst += element * src``, so ``H v`` has their bits.
+    """
+    out[:] = 0.0
+    for element, src, dst, tmp in plan:
+        np.multiply(element, src, out=tmp)
+        np.add(dst, tmp, out=dst)
 
 
 @functools.lru_cache(maxsize=4)
@@ -90,14 +109,17 @@ def _full_spectrum(kind: Coupling, n: int, sector: int):
     sector.  Raises ``SpinRscError`` unless node 1's space closes after
     exactly n vectors.
     """
-    pairs, dim = _coupled_pairs(CouplingModel(kind, n)), 1 << n
+    dim = 1 << n
     basis = np.zeros((n, dim))  # rows: the orthonormal Lanczos vectors
     basis[0, _basis_index(sector)] = 1.0
+    v = np.empty(dim)  # the newest vector, where the pair views read it
     w = np.empty(dim)  # the residual of the newest vector
+    plan = _pair_plan(_coupled_pairs(CouplingModel(kind, n)), n, v, w)
     alphas, betas = [], []
     k = 1  # Lanczos vectors so far
     while True:
-        _apply(pairs, n, basis[k - 1], w)
+        np.copyto(v, basis[k - 1])
+        _apply(plan, v, w)
         scale = np.linalg.norm(w)
         alphas.append(basis[k - 1] @ w)
         for _ in range(2):  # full reorthogonalisation, twice

@@ -430,3 +430,31 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert len(result.stdout.strip().splitlines()) == 4
+
+
+def test_main_parses_with_one_parser_per_process():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()  # the public builder stays fresh
+
+
+def test_one_parser_answers_as_fresh_processes_do(monkeypatch, capsys):
+    # a usage error, a domain error and a success, in one process through the
+    # cached parser, against each command run in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    root = Path(__file__).resolve().parents[1]
+    commands = [
+        (["verify", "--n", "9", "--model", "chain", "--t", "1"], 2),
+        (["verify", "--n", "19", "--model", "nn", "--t", "1"], 1),
+        (["verify", "--n", "9", "--model", "all", "--t", "3.7"], 0),
+    ]
+    for argv, expected in commands:
+        code, out, err = _outcome(argv, capsys)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "spinrsc", *argv],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env=dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80"),
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert code == expected, argv

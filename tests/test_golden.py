@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from spinrsc import cli
 from spinrsc.cli import build_parser, main
 
 pytestmark = pytest.mark.two_blas_threads  # CI runs these under two BLAS threads too
@@ -86,6 +87,21 @@ def test_help_text_matches_golden(name, monkeypatch, capsys):
         main(HELP_CASES[name])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_help_reads_the_width_when_it_is_formatted(monkeypatch, capsys):
+    # main's parser is built once per process, here under a wide terminal
+    cli._parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    wide = capsys.readouterr().out.encode()
+    monkeypatch.setenv("COLUMNS", "80")
+    for name in ("help.txt", "help_region.txt"):
+        with pytest.raises(SystemExit):
+            main(HELP_CASES[name])
+        assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+    assert wide != (GOLDEN / "help.txt").read_bytes()
 
 
 def test_every_subcommand_has_a_help_golden():

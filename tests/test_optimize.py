@@ -702,6 +702,15 @@ def test_protocol_owns_p_and_a_checked_read_only_rotation():
                 array[0] = 0.0
 
 
+def test_protocol_v0_without_v_is_one_read_only_identity():
+    protocol = optimal_protocol(_dec(Coupling.ALL_NODE, 9), with_v=False)
+    assert protocol.v0 is protocol.v0
+    assert not protocol.v0.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        protocol.v0[0, 0] = 5
+    assert np.array_equal(protocol.v0, np.eye(2)) and protocol.v0.dtype == complex
+
+
 def test_svd_v0_is_read_only_in_the_degenerate_case_too():
     u, v_svd, _, _ = _svd(np.zeros((2, 2)))
     assert not v_svd.flags.writeable and not u.flags.writeable

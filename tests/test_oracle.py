@@ -19,7 +19,7 @@ from spinrsc import (
 )
 from spinrsc import SpinRscError, oracle
 from spinrsc.cli import main
-from spinrsc.oracle import _apply, _basis_index, _coupled_pairs, _full_spectrum
+from spinrsc.oracle import _apply, _basis_index, _coupled_pairs, _full_spectrum, _pair_plan
 from spinrsc.rsc import _coordinates
 
 
@@ -90,8 +90,9 @@ def test_full_amplitude_size_cap():
 
 
 def _strided_apply(model: CouplingModel, v: np.ndarray) -> np.ndarray:
+    v = np.array(v)  # a contiguous buffer of its own, as the Lanczos input is
     out = np.empty_like(v)
-    _apply(_coupled_pairs(model), model.n, v, out)
+    _apply(_pair_plan(_coupled_pairs(model), model.n, v, out), v, out)
     return out
 
 
@@ -142,8 +143,8 @@ def test_a_krylov_space_still_open_after_n_vectors_is_an_error(monkeypatch, caps
     # node 1 reach the two-excitation states, so n Lanczos vectors cannot hold it
     real_apply = oracle._apply
 
-    def leaky_apply(pairs, n, v, out):
-        real_apply(pairs, n, v, out)
+    def leaky_apply(plan, v, out):
+        real_apply(plan, v, out)
         out[0b11] += 0.3 * v[0b01]
         out[0b01] += 0.3 * v[0b11]
 
@@ -171,7 +172,7 @@ def test_node_one_spans_the_one_excitation_sector():
 
 def test_a_node_one_space_that_closes_early_is_an_error(monkeypatch, capsys):
     # an H that annihilates everything closes node 1's space after one vector
-    monkeypatch.setattr(oracle, "_apply", lambda pairs, n, v, out: out.fill(0.0))
+    monkeypatch.setattr(oracle, "_apply", lambda plan, v, out: out.fill(0.0))
     _full_spectrum.cache_clear()
     try:
         for kind in Coupling:
@@ -192,9 +193,9 @@ def test_verify_runs_one_lanczos_per_sector(kind, monkeypatch, capsys):
     calls = []
     real_apply = oracle._apply
 
-    def counting_apply(pairs, n, v, out):
-        calls.append(n)
-        real_apply(pairs, n, v, out)
+    def counting_apply(plan, v, out):
+        calls.append(v.size)
+        real_apply(plan, v, out)
 
     monkeypatch.setattr(oracle, "_apply", counting_apply)
     _full_spectrum.cache_clear()
