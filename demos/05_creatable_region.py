@@ -17,13 +17,12 @@ from spinrsc import (
 )
 
 
-def summarise(label, rows):
-    lams = [r.lam for r in rows]
-    print(f"{label}: lam range [{min(lams):.4f}, {max(lams):.4f}] over {len(rows)} grid points")
+def summarise(label, grid):
+    lam = grid.lam  # indexed [alpha1, alpha2]
+    print(f"{label}: lam range [{lam.min():.4f}, {lam.max():.4f}] over {lam.size} grid points")
     print("  per alpha1 line (these are the solid line families of a region plot):")
-    for alpha1 in sorted({r.alpha1 for r in rows}):
-        line = [r.lam for r in rows if r.alpha1 == alpha1]
-        print(f"    alpha1 = {alpha1:3.1f}: lam in [{min(line):.4f}, {max(line):.4f}]")
+    for alpha1, line in zip(grid.alphas, lam):
+        print(f"    alpha1 = {alpha1:3.1f}: lam in [{line.min():.4f}, {line.max():.4f}]")
 
 
 def main():
@@ -32,12 +31,12 @@ def main():
     protocol = optimal_protocol(dec, with_v=True)
     print(f"all-node chain with receiver rotation, n = {n}, "
           f"R^2max = {protocol.r_max_sq:.6f}\n")
-    summarise("all-node + rotation", region_grid(protocol, dec, 0.1))
+    summarise("all-node + rotation", region_grid(protocol, 0.1))
 
     dec_nn = chain_decomposition(CouplingModel(Coupling.NEAREST_NEIGHBOR, n))
     protocol_nn = optimal_protocol(dec_nn, with_v=False)
     print()
-    summarise("nearest-neighbour", region_grid(protocol_nn, dec_nn, 0.1))
+    summarise("nearest-neighbour", region_grid(protocol_nn, 0.1))
     print("\n(the CLI `spinrsc region` writes the same grid as CSV for plotting)")
 
 

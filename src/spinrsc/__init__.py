@@ -49,7 +49,6 @@ from .rsc import (
     CoverageReport,
     CreatableParams,
     RegionGrid,
-    RegionRow,
     beta2_coverage,
     create_state,
     receiver_from_params,

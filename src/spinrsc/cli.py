@@ -162,8 +162,8 @@ def _cmd_critical_length(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    dec, protocol = _protocol(args)
-    grid = region_grid(protocol, dec, args.step)
+    _, protocol = _protocol(args)
+    grid = region_grid(protocol, args.step)
     axis = [_fmt(alpha) for alpha in grid.alphas.tolist()]
     # the CSV rows of one alpha1 line; \0 stands for its alpha1 field
     template = "\n".join(f"\0,{alpha2},{_FLOAT},{_FLOAT},{_FLOAT}" for alpha2 in axis)

@@ -8,8 +8,7 @@ a grid maps out the region of receiver states the chain can create.
 
 The protocol owns ``P(t0)`` and the rotation ``diag(1, v0, 1)``, whose
 unitarity it checks once (:class:`~spinrsc.optimize.OptimalProtocol`), so
-no creation function recomputes either; their ``dec`` argument is unused
-and stays only for their callers.  :func:`create_state` computes one point
+no creation function recomputes either.  :func:`create_state` computes one point
 with CPython's scalar ``math``/``cmath`` calls, one ``P (a1, a2)`` product,
 :func:`_extended_density` (one flat list, reshaped) and :func:`_reduce`; its
 products go through ``ndarray.dot``, the BLAS calls of ``@`` with less
@@ -25,7 +24,8 @@ CPython's scalar functions (:func:`_scalar`).
 :func:`create_state` reads the coordinates of its state with the scalar
 :func:`_coordinates`; :func:`region_grid` reads those of each batch with
 :func:`_coordinate_arrays`, the same arithmetic on arrays, and returns them
-as the three ``(A, A)`` arrays of a :class:`RegionGrid`.
+as the three ``(A, A)`` arrays of a :class:`RegionGrid`, the region's one
+representation.
 :func:`beta2_coverage` reads ``beta2`` as the phase of the receiver amplitude
 ``g_N``, not as the negated phase of the coherence: it equals its per-point
 loop bit for bit and agrees with :func:`create_state` to 1e-12.  The batch
@@ -38,12 +38,9 @@ physical input.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import operator
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +54,6 @@ CHUNK_POINTS = 2048  # region_grid's batch size in points, rounded down to whole
 __all__ = [
     "ControlParams",
     "CreatableParams",
-    "RegionRow",
     "RegionGrid",
     "CoverageReport",
     "receiver_from_params",
@@ -278,22 +274,24 @@ def _arrivals(p: np.ndarray, alpha1, alpha2, phi1, phi2) -> tuple[np.ndarray, ..
     return a0, f, mag
 
 
-def _create_batch(p: np.ndarray, v: np.ndarray, alpha1, alpha2, phi1, phi2) -> np.ndarray:
-    """The ``(B, 2, 2)`` receiver states at the control points of :func:`_arrivals`.
+def _create_batch(
+    p: np.ndarray, v: np.ndarray, alpha1, alpha2, phi1, phi2
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(r_z_sq, off)`` of the receiver states ``rho_r`` at the points of :func:`_arrivals`.
 
-    ``v`` is the protocol's checked rotation ``diag(1, v0, 1)``.  Element for
-    element this is :func:`create_state`'s arithmetic, :func:`_reduce` included:
-    the B states are held as ``rho[i, b, j]``, so ``v rho`` is one
+    These are ``rho_r[:, 1, 1].real`` and ``rho_r[:, 0, 1]``, all that
+    :func:`_coordinate_arrays` reads.  ``v`` is the protocol's checked
+    rotation ``diag(1, v0, 1)``.  Element for element this is
+    :func:`create_state`'s arithmetic, :func:`_reduce` included: the B
+    states are held as ``rho[i, b, j]``, so ``v rho`` is one
     ``(4, 4) @ (4, 4B)`` gemm, and ``(v rho) v^+`` is taken transposed as a
     second, ``conj(v) @ (v rho)^T``, whose right operand is the first one's
     result read as ``(4B, 4)``.  Every item keeps the bits of its own 4x4
     products.  The batch stays on the gemms' N side: a ``(4B, 4) @ v^+``
     gemm gives the same bits, but OpenBLAS packs its 4B rows into its
-    buffer, and it raised the peak RSS further.  It returns only the entries
-    that :func:`region_grid` reads, ``rho_r[:, 1, 1]`` and ``rho_r[:, 0, 1]``:
-    the vacuum population ``rho[0, :, 0]`` is left zero.  The rotation leaves
-    index 0 alone, so only ``rho_r[:, 0, 0]`` would read it, and that entry
-    is not the state's.
+    buffer, and it raised the peak RSS further.  The rotation leaves index
+    0 alone, so neither entry reads the vacuum population ``rho[0, :, 0]``,
+    which is left zero.
     """
     a0, f, mag = _arrivals(p, alpha1, alpha2, phi1, phi2)
     f_nm1, f_n = f[:, 0, 0], f[:, 1, 0]
@@ -306,7 +304,8 @@ def _create_batch(p: np.ndarray, v: np.ndarray, alpha1, alpha2, phi1, phi2) -> n
         rho[j, :, i] = _complex(re, -im)
     v_rho = (v @ rho.reshape(4, -1)).reshape(-1, 4)  # rows (i, b), columns j
     m = v.conj() @ v_rho.T  # m[l, (i, b)] is (v rho_b v^+)[i, l]
-    return _trace_out_nm1(m.reshape(4, 4, -1).transpose(2, 1, 0))
+    rho_r = _trace_out_nm1(m.reshape(4, 4, -1).transpose(2, 1, 0))
+    return rho_r[:, 1, 1].real, rho_r[:, 0, 1]
 
 
 def create_state(
@@ -330,22 +329,12 @@ def create_state(
     return rho_r, CreatableParams(*_coordinates(rho_r.item(3).real, rho_r.item(1)))
 
 
-class RegionRow(NamedTuple):
-    alpha1: float
-    alpha2: float
-    lam: float
-    beta1: float
-    beta2: float
-
-
 @dataclass(frozen=True, eq=False)
-class RegionGrid(Sequence[RegionRow]):
+class RegionGrid:
     """The coordinates of :func:`region_grid` over its ``A x A`` (alpha1, alpha2) grid.
 
     ``lam``, ``beta1`` and ``beta2`` are read-only ``(A, A)`` arrays indexed
-    ``[alpha1, alpha2]`` by position on the ``alphas`` axis.  As a sequence
-    the grid holds its ``A^2`` points as :class:`RegionRow` values,
-    alpha1-major and alpha2-minor, both ascending.
+    ``[alpha1, alpha2]`` by position on the read-only, ascending ``alphas`` axis.
     """
 
     alphas: np.ndarray
@@ -358,18 +347,8 @@ class RegionGrid(Sequence[RegionRow]):
             column.flags.writeable = False
 
     def __len__(self) -> int:
+        """The point count ``A^2``."""
         return self.lam.size
-
-    def __getitem__(self, index: int) -> RegionRow:
-        i, j = divmod(range(len(self))[operator.index(index)], len(self.alphas))
-        values = (self.lam[i, j], self.beta1[i, j], self.beta2[i, j])
-        return RegionRow(self.alphas[i].item(), self.alphas[j].item(), *(x.item() for x in values))
-
-    def __iter__(self) -> Iterator[RegionRow]:
-        alphas = self.alphas.tolist()
-        for i, alpha1 in enumerate(alphas):
-            values = (self.lam[i].tolist(), self.beta1[i].tolist(), self.beta2[i].tolist())
-            yield from map(RegionRow, itertools.repeat(alpha1), alphas, *values)
 
 
 def _grid_values(step: float) -> list[float]:
@@ -381,27 +360,22 @@ def _grid_values(step: float) -> list[float]:
     return [min(i * step, 1.0) for i in range(count + 1)]
 
 
-def region_grid(
-    protocol: OptimalProtocol,
-    dec: SpectralDecomposition,
-    step: float,
-) -> RegionGrid:
-    """Creatable coordinates over the uniform (alpha1, alpha2) grid; ``dec`` is unused.
+def region_grid(protocol: OptimalProtocol, step: float) -> RegionGrid:
+    """Creatable coordinates over the uniform (alpha1, alpha2) grid of spacing ``step``.
 
     Both phases are held at zero, since beta2 decouples from the
-    (lam, beta1) map and is tuned separately through phi2.  The grid's
-    points are ordered alpha1-major, alpha2-minor, both ascending, and equal
-    :func:`create_state`'s point by point.  Each batch of whole alpha1 lines
-    is read off as arrays (:func:`_coordinate_arrays`), so no point becomes
-    a Python object until the grid is indexed or iterated.
+    (lam, beta1) map and is tuned separately through phi2.  Each point
+    equals :func:`create_state`'s.  Each batch of whole alpha1 lines is
+    read off as arrays (:func:`_coordinate_arrays`), so no point becomes a
+    Python object.
     """
     axis = np.array(_grid_values(step))
     p, v = protocol.p, protocol.rotation
     coords = np.empty((3, len(axis), len(axis)))
     per_batch = max(1, CHUNK_POINTS // len(axis))  # alpha1 values per batch
     for lo in range(0, len(axis), per_batch):
-        rho_r = _create_batch(p, v, axis[lo : lo + per_batch, None], axis, 0.0, 0.0)
-        batch = _coordinate_arrays(rho_r[:, 1, 1].real, rho_r[:, 0, 1])
+        r_z_sq, off = _create_batch(p, v, axis[lo : lo + per_batch, None], axis, 0.0, 0.0)
+        batch = _coordinate_arrays(r_z_sq, off)
         coords[:, lo : lo + per_batch] = np.reshape(batch, (3, -1, len(axis)))
     return RegionGrid(axis, *coords)
 

@@ -148,16 +148,14 @@ def test_criterion_5_oracle_equivalence_and_sampled_optimality():
 
 
 def test_criterion_6_region_coverage_at_critical_length(chain_109):
-    dec, protocol = chain_109
-    grid = region_grid(protocol, dec, 0.1)
-    lams = [row.lam for row in grid]
+    _, protocol = chain_109
+    lams = region_grid(protocol, 0.1).lam
     dec_nn = chain_decomposition(CouplingModel(Coupling.NEAREST_NEIGHBOR, 109))
     protocol_nn = optimal_protocol(dec_nn, with_v=False)
-    grid_nn = region_grid(protocol_nn, dec_nn, 0.1)
-    lams_nn = [row.lam for row in grid_nn]
-    print(f"  all+v: min lam {min(lams):.6f}, max lam {max(lams):.6f}; "
-          f"nn: min lam {min(lams_nn):.6f}")
-    ok = min(lams) <= 0.52 and max(lams) >= 0.999 and min(lams_nn) > min(lams)
+    lams_nn = region_grid(protocol_nn, 0.1).lam
+    print(f"  all+v: min lam {lams.min():.6f}, max lam {lams.max():.6f}; "
+          f"nn: min lam {lams_nn.min():.6f}")
+    ok = lams.min() <= 0.52 and lams.max() >= 0.999 and lams_nn.min() > lams.min()
     _report(6, "creatable region extremes at the critical length", ok)
 
 

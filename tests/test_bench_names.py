@@ -101,3 +101,12 @@ def test_benchmark_call_signatures_still_bind():
         object(), oracle.TransferMode.EXT_RECEIVER_NORM, 1 << 20, 7
     )
 
+
+def test_region_grid_len_is_its_point_count():
+    # bench/spans.py::_region_attrs reads len() of the region_grid result that
+    # the CLI gets, and reports it as rsc.points
+    from spinrsc import chain, optimize, rsc
+
+    dec = chain.chain_decomposition(chain.CouplingModel(chain.Coupling.ALL_NODE, 6))
+    protocol = optimize.optimal_protocol(dec, with_v=True)
+    assert len(rsc.region_grid(protocol, 0.25)) == 25

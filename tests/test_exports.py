@@ -50,7 +50,7 @@ def test_every_package_reexport_is_in_its_modules_all():
 PACKAGE_EXPORTS = {
     "ControlParams", "CoverageReport", "CreatableParams", "CriticalLength", "Coupling",
     "CouplingModel", "DegenerateProtocolError", "EigensolverError", "MaximumNotFoundError",
-    "OptimalProtocol", "RegionGrid", "RegionRow", "SpectralDecomposition", "SpinRscError",
+    "OptimalProtocol", "RegionGrid", "SpectralDecomposition", "SpinRscError",
     "SweepModel", "SweepRow", "TransferMode", "amplitude_matrix", "beta2_coverage",
     "build_hamiltonian", "chain_decomposition", "create_state", "critical_length",
     "full_transition_amplitude", "lam_plus_sq", "maximize_over_time", "optimal_protocol",

@@ -373,14 +373,15 @@ def test_created_states_match_the_full_space(kind, n, with_v):
         full = _full_receiver_state(model, protocol.t0, c, protocol.v0)
         rho, _ = create_state(protocol, dec, c)
         assert np.max(np.abs(rho - full)) <= 1e-12, c
-    rows = region_grid(protocol, dec, 0.05)
-    for i in rng.choice(len(rows), size=20, replace=False):
-        row = rows[i]
-        c = ControlParams(row.alpha1, row.alpha2, 0.0, 0.0)
+    grid = region_grid(protocol, 0.05)
+    alphas = grid.alphas.tolist()
+    for k in rng.choice(len(grid), size=20, replace=False):
+        i, j = divmod(int(k), len(alphas))
+        c = ControlParams(alphas[i], alphas[j], 0.0, 0.0)
         full = _full_receiver_state(model, protocol.t0, c, protocol.v0)
         lam, beta1, _ = _coordinates(float(full[1, 1].real), complex(full[0, 1]))
-        assert abs(row.lam - lam) <= 1e-12, c
-        assert abs(row.beta1 - beta1) <= 1e-12, c
+        assert abs(grid.lam[i, j] - lam) <= 1e-12, c
+        assert abs(grid.beta1[i, j] - beta1) <= 1e-12, c
 
 
 def test_specific_long_hop_agrees_with_full_space():

@@ -44,8 +44,7 @@ def _params(rho) -> CreatableParams:
 @functools.lru_cache(maxsize=None)
 def _region_109():
     """The benchmark's grid: n = 109, all-node coupling with v0, step 0.005."""
-    dec = _dec(Coupling.ALL_NODE, 109)
-    return region_grid(_protocol(Coupling.ALL_NODE, 109, True), dec, 0.005)
+    return region_grid(_protocol(Coupling.ALL_NODE, 109, True), 0.005)
 
 
 def _arrival(p, c: ControlParams) -> tuple[float, complex, complex]:
@@ -160,7 +159,7 @@ def test_extended_density_rejects_unphysical_amplitudes():
     with pytest.raises(ValueError, match="exceeds 1"):
         create_state(loud, dec, ControlParams(0.5, 0.5, 0.0, 0.0))
     with pytest.raises(ValueError, match="exceeds 1"):
-        region_grid(loud, dec, 0.25)
+        region_grid(loud, 0.25)
     with pytest.raises(ValueError, match="exceeds 1"):
         beta2_coverage(loud, dec, 0.5, 0.5, 8)
     # f = (a1 - a2, 0): the total 1/2 + (1 - cos(2 pi phi2)) / 2 first exceeds 1
@@ -320,18 +319,15 @@ def test_optimal_point_pinning():
 
 
 def test_region_grid_apex_and_shape():
-    protocol = _protocol(Coupling.ALL_NODE, 6, True)
-    dec = _dec(Coupling.ALL_NODE, 6)
-    rows = region_grid(protocol, dec, 0.1)
-    assert len(rows) == 121
-    # ordering: alpha1-major ascending
-    assert rows[0].alpha1 == 0.0 and rows[0].alpha2 == 0.0
-    assert rows[-1].alpha1 == 1.0 and rows[-1].alpha2 == 1.0
-    for row in rows:
-        if row.alpha1 == 1.0:  # vacuum stays put: region apex
-            assert row.lam == pytest.approx(1.0, abs=1e-12)
-            assert row.beta1 == 0.0
-        assert 0.5 - 1e-12 <= row.lam <= 1.0 + 1e-12
+    grid = region_grid(_protocol(Coupling.ALL_NODE, 6, True), 0.1)
+    assert len(grid) == 121 and grid.lam.shape == (11, 11)
+    # the axis ascends from 0 to 1, so [0, 0] and [-1, -1] are the grid's corners
+    assert grid.alphas[0] == 0.0 and grid.alphas[-1] == 1.0
+    assert np.all(np.diff(grid.alphas) > 0.0)
+    apex = grid.alphas == 1.0  # alpha1 = 1: vacuum stays put, the region's apex
+    assert grid.lam[apex] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(grid.beta1[apex] == 0.0)
+    assert np.all((0.5 - 1e-12 <= grid.lam) & (grid.lam <= 1.0 + 1e-12))
 
 
 @pytest.mark.two_blas_threads
@@ -340,22 +336,27 @@ def test_region_grid_rows_equal_create_state():
     # (lam ~ 0.506), where an ulp in rho_r moves beta1 by ~1e-14
     protocol = _protocol(Coupling.ALL_NODE, 109, True)
     dec = _dec(Coupling.ALL_NODE, 109)
-    rows = [row for row in _region_109() if row.alpha1 in (0.0, 0.005, 0.5, 1.0)]
-    assert len(rows) == 4 * 201
-    for row in rows:
-        _, cp = create_state(protocol, dec, ControlParams(row.alpha1, row.alpha2, 0.0, 0.0))
-        assert (row.lam, row.beta1, row.beta2) == (cp.lam, cp.beta1, cp.beta2)
+    grid = _region_109()
+    alphas = grid.alphas.tolist()
+    lines = [i for i, alpha1 in enumerate(alphas) if alpha1 in (0.0, 0.005, 0.5, 1.0)]
+    assert len(lines) * len(alphas) == 4 * 201
+    for i in lines:
+        for j, alpha2 in enumerate(alphas):
+            _, cp = create_state(protocol, dec, ControlParams(alphas[i], alpha2, 0.0, 0.0))
+            got = (grid.lam[i, j], grid.beta1[i, j], grid.beta2[i, j])
+            assert got == (cp.lam, cp.beta1, cp.beta2)
 
 
 @pytest.mark.two_blas_threads
 def test_region_grid_equals_benchmark_reference():
     reference = Path(__file__).resolve().parents[1] / "bench" / "reference"
-    rows = _region_109()
-    alphas = [min(i * 0.005, 1.0) for i in range(201)]
-    assert [(r.alpha1, r.alpha2) for r in rows] == [(a1, a2) for a1 in alphas for a2 in alphas]
+    grid = _region_109()
+    assert grid.alphas.tolist() == [min(i * 0.005, 1.0) for i in range(201)]
+    assert grid.lam.shape == (201, 201)
     with np.load(reference / "region_n109_step0.005.npz") as ref:
         for field in ("lam", "beta1", "beta2"):
-            assert np.array_equal(np.array([getattr(r, field) for r in rows]), ref[field])
+            # the reference lists the points alpha1-major, the C order of the arrays
+            assert np.array_equal(getattr(grid, field).ravel(), ref[field])
 
 
 @pytest.mark.two_blas_threads
@@ -364,8 +365,8 @@ def test_coordinate_arrays_equal_the_scalar_coordinates():
     # both early branches: no excitation (r_z_sq <= 1e-30) and no coherence
     protocol = _protocol(Coupling.ALL_NODE, 109, True)
     axis = _region_109().alphas
-    rho = rsc._create_batch(protocol.p, protocol.rotation, axis[:, None], axis, 0.0, 0.0)
-    r_z_sq, off = rho[:, 1, 1].real.tolist(), rho[:, 0, 1].tolist()
+    batch = rsc._create_batch(protocol.p, protocol.rotation, axis[:, None], axis, 0.0, 0.0)
+    r_z_sq, off = (part.tolist() for part in batch)
     r_z_sq += [0.0, -0.0, 5e-324, 1e-30, 1e-30, 0.0, 0.3, 0.3, 0.3, 0.5, 0.3, 0.3, 0.3]
     off += [0.1j, 0j, -0.2 + 0j, 0.3 - 0.1j, 0j, complex(-0.0, -0.0), 0j, complex(-0.0, 0.0),
             complex(0.0, -0.0), 0j, complex(-0.2, -0.0), complex(0.3, 1e-300), -1e-300j]
@@ -374,44 +375,39 @@ def test_coordinate_arrays_equal_the_scalar_coordinates():
     assert np.array_equal(np.array(got).view(np.int64), expected.view(np.int64))
 
 
-def test_region_grid_is_a_read_only_sequence_of_rows():
-    grid = region_grid(_protocol(Coupling.ALL_NODE, 6, True), _dec(Coupling.ALL_NODE, 6), 0.25)
-    rows = list(grid)
-    assert len(grid) == len(rows) == 25 and grid.lam.shape == (5, 5)
-    assert [grid[i] for i in range(-25, 25)] == rows + rows
-    assert grid[7] == (0.25, 0.5, grid.lam[1, 2], grid.beta1[1, 2], grid.beta2[1, 2])
-    for index in (25, -26):
-        with pytest.raises(IndexError):
-            grid[index]
-    with pytest.raises(ValueError, match="read-only"):
-        grid.lam[0, 0] = 0.0
+def test_region_grid_is_read_only_arrays():
+    grid = region_grid(_protocol(Coupling.ALL_NODE, 6, True), 0.25)
+    assert grid.alphas.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert grid.lam.shape == grid.beta1.shape == grid.beta2.shape == (5, 5)
+    assert len(grid) == 5 * 5  # the point count, which the benchmark reports
+    for array in (grid.alphas, grid.lam, grid.beta1, grid.beta2):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    with pytest.raises(TypeError):  # no row view: points are read off the arrays
+        grid[0]
 
 
 def test_region_grid_step_validation():
     protocol = _protocol(Coupling.ALL_NODE, 6, True)
-    dec = _dec(Coupling.ALL_NODE, 6)
     with pytest.raises(ValueError, match="step"):
-        region_grid(protocol, dec, 0.0)
+        region_grid(protocol, 0.0)
     with pytest.raises(ValueError, match="step"):
-        region_grid(protocol, dec, 0.7)
+        region_grid(protocol, 0.7)
     # 5e-324 makes 1 / step overflow to inf; 0.000999 is the first step past the cap
     for step in (1e-300, 5e-324, 1e-7, 0.000999):
         with pytest.raises(ValueError, match="too fine"):
-            region_grid(protocol, dec, step)
+            region_grid(protocol, step)
     assert len(rsc._grid_values(1e-3)) ** 2 == rsc.MAX_GRID_POINTS
 
 
 def test_rotation_extends_created_region_between_critical_lengths():
     # at n = 50 only the rotated variant still transfers more than half the
     # excitation, so only its region reaches down towards lam = 1/2
-    dec = _dec(Coupling.ALL_NODE, 50)
     prot_v = _protocol(Coupling.ALL_NODE, 50, True)
     prot_plain = _protocol(Coupling.ALL_NODE, 50, False)
     assert prot_v.r_max_sq > 0.5 > prot_plain.r_max_sq
-    with_v = region_grid(prot_v, dec, 0.05)
-    without = region_grid(prot_plain, dec, 0.05)
-    min_with = min(r.lam for r in with_v)
-    min_without = min(r.lam for r in without)
+    min_with = region_grid(prot_v, 0.05).lam.min()
+    min_without = region_grid(prot_plain, 0.05).lam.min()
     assert min_with < min_without
     # without the rotation the best receiver occupation caps the reachable lam
     assert min_without >= 1.0 - prot_plain.r_max_sq - 1e-10
@@ -445,7 +441,7 @@ def test_results_that_hold_arrays_compare_by_identity_and_hash():
     def results():
         dec = chain_decomposition(CouplingModel(Coupling.ALL_NODE, 9))
         protocol = optimal_protocol(dec, with_v=True)
-        grid = region_grid(protocol, dec, 0.25)
+        grid = region_grid(protocol, 0.25)
         return dec, protocol, beta2_coverage(protocol, dec, 0.5, 0.9, 100), grid
 
     for first, second in zip(results(), results()):
@@ -529,7 +525,7 @@ def test_coverage_takes_pow_squares_only_near_the_bound(monkeypatch):
     protocol, dec = _protocol(Coupling.ALL_NODE, 109, True), _dec(Coupling.ALL_NODE, 109)
     assert beta2_coverage(protocol, dec, 0.3, 0.6, 512).defined
     assert not calls
-    grid = region_grid(protocol, dec, 0.25)
+    grid = region_grid(protocol, 0.25)
     assert len(calls) == 2 * len(grid)  # the |f|^2 that each state holds
 
 
@@ -670,7 +666,7 @@ def test_creation_reads_p_and_rotation_from_the_protocol(monkeypatch):
     monkeypatch.setattr(propagate, "_p_stack", refuse)
     rho, cp = create_state(protocol, dec, c)
     assert np.array_equal(rho, expected[0]) and cp == expected[1]
-    assert len(region_grid(protocol, dec, 0.25)) == 25
+    assert len(region_grid(protocol, 0.25)) == 25
     assert beta2_coverage(protocol, dec, 0.3, 0.6, 16).defined
 
 
@@ -684,7 +680,7 @@ def test_protocol_with_non_unitary_v0_is_refused_on_first_use():
         with pytest.raises(ValueError, match=message):
             create_state(bad, dec, ControlParams(0.3, 0.6, 0.1, 0.8))
         with pytest.raises(ValueError, match=message):
-            region_grid(bad, dec, 0.25)
+            region_grid(bad, 0.25)
         with pytest.raises(ValueError, match=message):
             beta2_coverage(bad, dec, 0.3, 0.6, 16)
         with pytest.raises(ValueError, match=message):
